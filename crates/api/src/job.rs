@@ -2,10 +2,11 @@
 //! outcomes.
 
 use crate::noise::NoiseSpec;
+use crate::spec::Engine;
 use crate::spec::ExperimentSpec;
 use prophunt::{IterationRecord, OptimizationResult};
 use prophunt_circuit::MemoryBasis;
-use prophunt_decoders::{Engine, LerStopReason, LogicalErrorEstimate, ShotBudget};
+use prophunt_decoders::{LerStopReason, LogicalErrorEstimate, ShotBudget};
 use prophunt_formats::ReportRecord;
 use std::time::Duration;
 
@@ -307,9 +308,6 @@ pub struct LerOutcome {
     pub p: f64,
     /// Idle error strength (from the noise spec).
     pub idle: f64,
-    /// The estimation engine the counts were computed with (part of the
-    /// reproduction key alongside `seed` and `chunk_size`).
-    pub engine: Engine,
     /// Wall-clock duration of the whole job.
     pub wall: Duration,
 }
@@ -338,7 +336,7 @@ impl LerOutcome {
             decoder: self.decoder.clone(),
             noise: self.noise.map(|n| n.to_string()).unwrap_or_default(),
             stop: self.stop.as_str().to_string(),
-            engine: self.engine.as_str().to_string(),
+            engine: Engine::Frames.as_str().to_string(),
             wall_s: self.wall.as_secs_f64(),
             shots_per_sec: self.shots_per_sec(),
         }
@@ -400,7 +398,6 @@ mod tests {
             noise: Some(NoiseSpec::uniform(1e-3)),
             p: 1e-3,
             idle: 0.0,
-            engine: Engine::Frames,
             wall: Duration::from_millis(500),
         };
         assert!((outcome.shots_per_sec() - 2000.0).abs() < 1e-9);

@@ -24,7 +24,7 @@
 //!   `biased:0.001:10`).
 //!
 //! Every session also carries a [`prophunt_obs`] registry (re-exported as
-//! [`obs`]) shared with its runtime, the LER engines and search;
+//! [`obs`]) shared with its runtime, the LER kernel and search;
 //! [`Session::metrics`] snapshots cache hit/miss counters, deterministic
 //! shot/chunk counters and per-stage span histograms in one call.
 //!
@@ -74,11 +74,11 @@ pub use job::{
 pub use noise::NoiseSpec;
 pub use search::{SearchJob, SearchOutcome};
 pub use session::{Session, SessionStats};
-pub use spec::{BasisSelection, ExperimentSpec, ExperimentSpecBuilder, ScheduleSource};
+pub use spec::{BasisSelection, Engine, ExperimentSpec, ExperimentSpecBuilder, ScheduleSource};
 
-// Re-export the budget, engine and strategy types jobs are parameterized by,
+// Re-export the budget, LER option and strategy types jobs are parameterized by,
 // so downstream users need only this crate.
-pub use prophunt_decoders::{DecodeCache, Engine, ShotBudget};
+pub use prophunt_decoders::{DecodeCache, LerOptions, ShotBudget};
 pub use prophunt_search::StrategyKind;
 
 // Re-export the observability layer sessions record into.

@@ -8,7 +8,7 @@
 //! repeated jobs on the same grid point are free.
 //!
 //! Every session carries an enabled `prophunt-obs` registry (shared with its
-//! runtime, the LER engines and search, so one [`Session::metrics`] snapshot
+//! runtime, the LER kernel and search, so one [`Session::metrics`] snapshot
 //! covers all four layers). Cache accounting lives in the registry as
 //! `session.cache.<kind>.hit` / `.miss` counters plus `session.jobs`;
 //! [`SessionStats`] survives as a thin compatibility view over those counters.
@@ -22,9 +22,7 @@ use crate::search::{SearchJob, SearchOutcome};
 use crate::spec::ExperimentSpec;
 use prophunt::{PropHunt, PropHuntConfig};
 use prophunt_circuit::{DetectorErrorModel, MemoryBasis, MemoryExperiment};
-use prophunt_decoders::{
-    estimate_with_budget_engine_cached, DecodeCache, Decoder, Engine, LogicalErrorEstimate,
-};
+use prophunt_decoders::{estimate_logical_error_rate, Decoder, LerOptions, LogicalErrorEstimate};
 use prophunt_formats::write_schedule;
 use prophunt_obs::{Obs, Snapshot};
 use prophunt_runtime::{Runtime, RuntimeConfig};
@@ -58,7 +56,7 @@ fn basis_tag(basis: MemoryBasis) -> u8 {
 ///
 /// Deprecated in favour of the session's `prophunt-obs` registry: the same
 /// numbers live there as `session.cache.<kind>.hit` / `.miss` and
-/// `session.jobs` counters, alongside everything the runtime, LER engines and
+/// `session.jobs` counters, alongside everything the runtime, the LER kernel and
 /// search record. [`Session::stats`] now rebuilds this struct from a registry
 /// snapshot; prefer [`Session::metrics`] for new code.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -150,7 +148,7 @@ impl Session {
     }
 
     /// Returns the observability handle shared by the session, its runtime, the
-    /// LER engines and search.
+    /// LER kernel and search.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -269,8 +267,7 @@ impl Session {
     /// Runs a [`LerJob`], emitting [`Event`]s through `observer`.
     ///
     /// The estimate is a pure function of the job and the session's
-    /// `(seed, chunk_size)` plus the spec's [`Engine`]; thread count changes
-    /// wall-clock time only, including for adaptively stopped budgets (decisions
+    /// `(seed, chunk_size)`; thread count changes wall-clock time only, including for adaptively stopped budgets (decisions
     /// are made at chunk granularity in chunk order).
     ///
     /// # Errors
@@ -282,9 +279,13 @@ impl Session {
         job: &LerJob,
         mut observer: impl FnMut(&Event),
     ) -> Result<LerOutcome, ApiError> {
-        let span = self.obs.span("job.ler.ns");
-        let _trace = self.obs.tracer().map(|t| t.span("job.ler", "job"));
+        let span = self.obs.span("job.ler", "job");
         let seed = job.seed.unwrap_or(self.runtime.config().seed);
+        let options = LerOptions {
+            budget: job.budget,
+            seed,
+            cache: job.spec.decode_cache(),
+        };
         observer(&Event::JobStarted {
             kind: JobKind::Ler,
             label: job.label().to_string(),
@@ -296,13 +297,10 @@ impl Session {
             let dem = self.dem(&job.spec, basis)?;
             let decoder = self.decoder(&job.spec, basis)?;
             let runtime = self.runtime.clone();
-            let (estimate, reason) = estimate_with_budget_engine_cached(
+            let (estimate, reason) = estimate_logical_error_rate(
                 &dem,
                 decoder.as_ref(),
-                job.budget,
-                seed,
-                job.spec.engine(),
-                job.spec.decode_cache(),
+                options,
                 &runtime,
                 &mut |progress| {
                     observer(&Event::ShotChunk {
@@ -336,7 +334,6 @@ impl Session {
             noise: Some(job.spec.noise()),
             p: job.spec.noise().p(),
             idle: job.spec.noise().idle(),
-            engine: job.spec.engine(),
             wall: span.finish(),
         })
     }
@@ -361,8 +358,7 @@ impl Session {
         job: &OptimizeJob,
         mut observer: impl FnMut(&Event),
     ) -> Result<OptimizeOutcome, ApiError> {
-        let span = self.obs.span("job.optimize.ns");
-        let _trace = self.obs.tracer().map(|t| t.span("job.optimize", "job"));
+        let span = self.obs.span("job.optimize", "job");
         let seed = job.seed.unwrap_or(self.runtime.config().seed);
         let mut config = PropHuntConfig::quick(job.spec.rounds());
         config.iterations = job.iterations;
@@ -429,8 +425,7 @@ impl Session {
         job: &SearchJob,
         mut observer: impl FnMut(&Event),
     ) -> Result<SearchOutcome, ApiError> {
-        let span = self.obs.span("job.search.ns");
-        let _trace = self.obs.tracer().map(|t| t.span("job.search", "job"));
+        let span = self.obs.span("job.search", "job");
         let seed = job.seed.unwrap_or(self.runtime.config().seed);
         observer(&Event::JobStarted {
             kind: JobKind::Search,
@@ -490,37 +485,29 @@ impl Session {
     }
 
     /// Estimates a pre-built detector error model (e.g. parsed from a `.dem`
-    /// file) under `decoder_name`, `budget`, `engine` and `decode_cache` — the
-    /// Session entry point for model-only workloads, bypassing the spec caches.
+    /// file) under `decoder_name` and `options` — the Session entry point for
+    /// model-only workloads, bypassing the spec caches.
     ///
     /// # Errors
     ///
     /// Returns [`ApiError::UnknownDecoder`] when the decoder is not registered.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_ler_on_dem(
         &mut self,
         dem: &DetectorErrorModel,
         decoder_name: &str,
-        budget: prophunt_decoders::ShotBudget,
-        seed: u64,
-        engine: Engine,
-        decode_cache: DecodeCache,
+        options: LerOptions,
         mut observer: impl FnMut(&Event),
     ) -> Result<LerOutcome, ApiError> {
-        let span = self.obs.span("job.ler.ns");
-        let _trace = self.obs.tracer().map(|t| t.span("job.ler", "job"));
+        let span = self.obs.span("job.ler", "job");
         let decoder = self.registry.build(decoder_name, dem)?;
         observer(&Event::JobStarted {
             kind: JobKind::Ler,
             label: "dem".to_string(),
         });
-        let (estimate, reason) = estimate_with_budget_engine_cached(
+        let (estimate, reason) = estimate_logical_error_rate(
             dem,
             decoder.as_ref(),
-            budget,
-            seed,
-            engine,
-            decode_cache,
+            options,
             &self.runtime,
             &mut |progress| {
                 observer(&Event::ShotChunk {
@@ -542,7 +529,7 @@ impl Session {
             }],
             combined: estimate,
             stop,
-            seed,
+            seed: options.seed,
             chunk_size: self.runtime.chunk_size(),
             decoder: decoder_name.to_string(),
             // A .dem file has its error distribution baked in; there is no noise
@@ -550,7 +537,6 @@ impl Session {
             noise: None,
             p: 0.0,
             idle: 0.0,
-            engine,
             wall: span.finish(),
         })
     }
@@ -559,8 +545,9 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BasisSelection, ExperimentSpec};
+    use crate::spec::{BasisSelection, Engine, ExperimentSpec};
     use prophunt_decoders::ShotBudget;
+    use prophunt_formats::ReportRecord;
 
     fn d3_spec() -> ExperimentSpec {
         ExperimentSpec::builder()
@@ -707,12 +694,24 @@ mod tests {
     #[test]
     fn frame_engine_jobs_run_and_record_their_engine() {
         let mut session = session();
-        let spec = d3_spec().with_engine(Engine::Frames);
-        let outcome = session
+        let job = LerJob::new(d3_spec()).with_budget(ShotBudget::fixed(128));
+        let outcome = session.run_ler_quiet(&job).unwrap();
+        assert_eq!(outcome.combined.shots, 128);
+        let ReportRecord::Ler { engine, .. } = outcome.to_record("d3") else {
+            panic!("expected a ler record");
+        };
+        assert_eq!(engine, Engine::Frames.as_str());
+        // The compatibility builder knob selects the same (only) engine.
+        let spec = ExperimentSpec::builder()
+            .code_family("surface:3")
+            .unwrap()
+            .engine(Engine::Frames)
+            .build()
+            .unwrap();
+        let again = session
             .run_ler_quiet(&LerJob::new(spec).with_budget(ShotBudget::fixed(128)))
             .unwrap();
-        assert_eq!(outcome.engine, Engine::Frames);
-        assert_eq!(outcome.combined.shots, 128);
+        assert_eq!(again.combined, outcome.combined);
     }
 
     #[test]

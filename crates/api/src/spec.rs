@@ -6,7 +6,7 @@ use crate::error::ApiError;
 use crate::noise::NoiseSpec;
 use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_circuit::MemoryBasis;
-use prophunt_decoders::{DecodeCache, Engine};
+use prophunt_decoders::DecodeCache;
 use prophunt_formats::{resolve_family, ResolvedCode};
 use prophunt_qec::surface::SurfaceLayout;
 use prophunt_qec::CssCode;
@@ -58,6 +58,32 @@ impl BasisSelection {
     }
 }
 
+/// The LER estimation engine.
+///
+/// Only the bit-parallel frames engine remains (64 shots per machine word,
+/// batch-decoded; see [`prophunt_decoders::estimate_logical_error_rate`]).
+/// The type survives for compatibility: callers that select
+/// [`Engine::Frames`] explicitly keep compiling, and report records keep
+/// writing its name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Engine {
+    /// Sample 64 shots per machine word, transpose, and batch-decode.
+    #[default]
+    Frames,
+}
+
+impl Engine {
+    /// A stable machine-readable name (used in report records and CLI flags).
+    pub fn as_str(&self) -> &'static str {
+        "frames"
+    }
+
+    /// Parses the name produced by [`Engine::as_str`].
+    pub fn parse(name: &str) -> Option<Engine> {
+        (name == "frames").then_some(Engine::Frames)
+    }
+}
+
 /// A fully resolved experiment description.
 ///
 /// Built via [`ExperimentSpec::builder`], which validates everything up front:
@@ -74,7 +100,6 @@ pub struct ExperimentSpec {
     decoder: String,
     rounds: usize,
     basis: BasisSelection,
-    engine: Engine,
     decode_cache: DecodeCache,
 }
 
@@ -125,15 +150,9 @@ impl ExperimentSpec {
         self.basis
     }
 
-    /// Returns the estimation engine (default: [`Engine::Scalar`]).
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// Returns the syndrome-dedup decode-cache setting (default:
-    /// [`DecodeCache::On`]). Only the frame engine consults it; results are
-    /// bit-identical either way — the knob exists for A/B timing and as a
-    /// belt-and-braces escape hatch.
+    /// [`DecodeCache::On`]). Results are bit-identical either way — the knob
+    /// exists for A/B timing and as a belt-and-braces escape hatch.
     pub fn decode_cache(&self) -> DecodeCache {
         self.decode_cache
     }
@@ -168,13 +187,6 @@ impl ExperimentSpec {
         spec
     }
 
-    /// Returns a derived spec with a different estimation engine.
-    pub fn with_engine(&self, engine: Engine) -> ExperimentSpec {
-        let mut spec = self.clone();
-        spec.engine = engine;
-        spec
-    }
-
     /// Returns a derived spec with a different decode-cache setting.
     pub fn with_decode_cache(&self, cache: DecodeCache) -> ExperimentSpec {
         let mut spec = self.clone();
@@ -192,7 +204,6 @@ pub struct ExperimentSpecBuilder {
     decoder: String,
     rounds: usize,
     basis: BasisSelection,
-    engine: Engine,
     decode_cache: DecodeCache,
 }
 
@@ -205,7 +216,6 @@ impl Default for ExperimentSpecBuilder {
             decoder: "bposd".to_string(),
             rounds: 3,
             basis: BasisSelection::Z,
-            engine: Engine::Scalar,
             decode_cache: DecodeCache::On,
         }
     }
@@ -283,15 +293,13 @@ impl ExperimentSpecBuilder {
         self
     }
 
-    /// Sets the estimation engine (default: [`Engine::Scalar`]). The frame
-    /// engine samples and decodes 64 shots per machine word; see
-    /// [`prophunt_decoders::Engine`] for the determinism contract.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
+    /// Accepted for compatibility and ignored: [`Engine::Frames`] is the only
+    /// estimation engine.
+    pub fn engine(self, _engine: Engine) -> Self {
         self
     }
 
-    /// Sets the frame engine's syndrome-dedup decode cache (default:
+    /// Sets the syndrome-dedup decode cache (default:
     /// [`DecodeCache::On`]). Results are bit-identical either way; see
     /// [`prophunt_decoders::decode_shots_cached`].
     pub fn decode_cache(mut self, cache: DecodeCache) -> Self {
@@ -336,7 +344,6 @@ impl ExperimentSpecBuilder {
             decoder: self.decoder,
             rounds: self.rounds,
             basis: self.basis,
-            engine: self.engine,
             decode_cache: self.decode_cache,
         })
     }
@@ -422,23 +429,20 @@ mod tests {
     }
 
     #[test]
-    fn engine_defaults_to_scalar_and_derives_like_the_other_knobs() {
-        let spec = ExperimentSpec::builder()
-            .code_family("surface:3")
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(spec.engine(), Engine::Scalar);
-        let frames = spec.with_engine(Engine::Frames);
-        assert_eq!(frames.engine(), Engine::Frames);
-        assert_eq!(frames.decoder(), spec.decoder());
+    fn engine_is_a_frames_only_compatibility_type() {
+        assert_eq!(Engine::default(), Engine::Frames);
+        assert_eq!(Engine::parse(Engine::Frames.as_str()), Some(Engine::Frames));
+        assert_eq!(Engine::parse("scalar"), None);
+        assert_eq!(Engine::parse("vectorized"), None);
+        // The builder knob is a no-op: the spec equals one built without it.
         let built = ExperimentSpec::builder()
             .code_family("surface:3")
             .unwrap()
             .engine(Engine::Frames)
             .build()
             .unwrap();
-        assert_eq!(built.engine(), Engine::Frames);
+        assert_eq!(built.decoder(), "bposd");
+        assert_eq!(built.decode_cache(), DecodeCache::On);
     }
 
     #[test]
@@ -451,7 +455,7 @@ mod tests {
         assert_eq!(spec.decode_cache(), DecodeCache::On);
         let off = spec.with_decode_cache(DecodeCache::Off);
         assert_eq!(off.decode_cache(), DecodeCache::Off);
-        assert_eq!(off.engine(), spec.engine());
+        assert_eq!(off.decoder(), spec.decoder());
         let built = ExperimentSpec::builder()
             .code_family("surface:3")
             .unwrap()

@@ -1,159 +1,118 @@
-//! Scalar vs bit-parallel frame-engine LER throughput on the Table 1 code suite.
+//! LER throughput and observability overhead on the Table 1 code suite.
 //!
-//! This is the bench behind the frame engine's acceptance claim. For every
-//! benchmark code it runs the same fixed shot budget through
-//! [`estimate_with_budget_engine`] twice — once with [`Engine::Scalar`] (one
-//! sampled shot, one `decode` call at a time) and once with [`Engine::Frames`]
-//! (64 shots per word: `sample_frames` → `transpose_lane_words` →
-//! `decode_batch`) — at the Table 1 operating point (p = 1e-3) with the
-//! production decoder per family: union-find on the matchable surface codes,
-//! BP+OSD on the LDPC codes.
+//! This is the one harness for the suite LER workload. For every benchmark
+//! code it runs the same fixed shot budget through
+//! [`estimate_logical_error_rate`] at the Table 1 operating point
+//! (p = 1e-3) with the production decoder per family — union-find on the
+//! matchable surface codes, BP+OSD on the LDPC codes — alternating three
+//! observability configurations each rep:
 //!
-//! What the frame engine can and cannot speed up: it eliminates per-shot
-//! sampling cost (geometric-skip word sampling), per-shot allocation, and
-//! per-shot scratch resets — so codes whose scalar path is dominated by those
-//! overheads (the union-find surface rows) gain 5-10x. On the LDPC rows its
-//! decode stage is the three-layer batch pipeline: the zero-syndrome fast
-//! path, the per-chunk syndrome-dedup cache (each distinct syndrome decoded
-//! once, fanned back out in first-occurrence order), and the
-//! structure-of-arrays lane-parallel BP core with convergence-based lane
-//! retirement plus the reused-workspace eliminator-matrix OSD-0 for the
-//! non-converged residue. All three layers are bit-identity-preserving, so
-//! every layer's win is bounded by the decode *arithmetic* both engines
-//! share: at the Table 1 operating point `bb_72_12`'s chunks contain almost
-//! no repeated syndromes (the row reports `distinct_syndromes`), min-sum BP
-//! plus OSD dominate both engines, and the row — with it the LDPC and suite
-//! aggregates — is Amdahl-capped near ~1.7-2x. The per-bucket floors in
-//! [`BUCKET_GATES`] are set at that honest level (with headroom for run-to-
-//! run machine variance); the headline gate remains the surface (union-find)
-//! sub-aggregate `>= 5x`.
+//! * **no obs** — a disabled handle, the throughput baseline;
+//! * **registry** — the production metrics registry (counters per chunk,
+//!   `<stage>.ns` span histograms), measured twice per rep: the second,
+//!   byte-for-byte identical run is the tracer-free *control*, whose
+//!   "overhead" against the first bounds timer noise;
+//! * **traced** — the registry plus a [`Tracer`] (a span per runtime task,
+//!   LER chunk and pipeline stage).
 //!
-//! The two engines lay out the per-chunk RNG stream differently (shot-major vs
-//! mechanism-major), so their failure counts legitimately differ; the
-//! correctness gate is *same-frames decode parity*: on identical sampled error
-//! frames, the frame pipeline's per-shot predictions — and hence its failure
-//! count — must equal the scalar `decode` path's exactly. The bin asserts that
-//! for every code and aborts loudly otherwise (this is the CI smoke
-//! assertion). The committed `BENCH_frames.json` records the full-profile run;
-//! `PROPHUNT_SMOKE=1` trims the shot budget and skips the timing gates (the
-//! parity assertion always runs).
+//! Each configuration keeps its minimum wall over the reps, so one scheduler
+//! stall cannot bias either side. Every row also reports the batch decode
+//! pipeline's profile: `distinct_syndromes` (non-zero syndromes actually
+//! decoded, `ler.decode.cache.miss`) and `zero_fraction` (shots on the
+//! zero-syndrome fast path). At the operating point `bb_72_12`'s chunks hold
+//! almost no repeated syndromes, so its BP+OSD arithmetic caps the LDPC rows.
+//!
+//! Deterministic gates always run, smoke profile included:
+//!
+//! * same-frames parity — on identical sampled error frames, per-shot
+//!   [`Decoder::decode`], raw [`Decoder::decode_batch`] and the batch pipeline
+//!   ([`decode_shots_cached`]) with the dedup cache on and off must agree shot
+//!   for shot;
+//! * observability must not perturb results — every configuration reports
+//!   the identical failure count;
+//! * the registry must observe the run — `ler.shots` equals the exact shot
+//!   budget over the reps, and the per-stage histograms are populated;
+//! * the tracer must observe the run — every traced rep records the same,
+//!   nonzero number of events and drops none.
+//!
+//! The timing gates (suite aggregate: registry <= 3% over no obs, traced
+//! <= 5% over the registry, control within 1% of the registry) only run at the
+//! full profile: the smoke budget's windows are short enough that timer noise
+//! would dominate. The committed `BENCH_frames.json` records the full-profile
+//! run; `PROPHUNT_SMOKE=1` trims the budget and skips the file write.
 
 use prophunt_bench::{benchmark_suite, runtime_config_from_env, stage_seed};
 use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_circuit::{DetectorErrorModel, MemoryBasis, MemoryExperiment, NoiseModel};
 use prophunt_decoders::{
-    decode_shots_cached, estimate_with_budget_engine, BpOsdDecoder, DecodeCache, Decoder, Engine,
-    ShotBudget, UnionFindDecoder,
+    decode_shots_cached, estimate_logical_error_rate, BpOsdDecoder, DecodeCache, Decoder,
+    LerOptions, UnionFindDecoder,
 };
 use prophunt_formats::report::ReportRecord;
 use prophunt_formats::{write_report, Json};
 use prophunt_gf2::transpose_lane_words;
-use prophunt_obs::Obs;
+use prophunt_obs::{Obs, Tracer};
 use prophunt_runtime::Runtime;
 use std::time::{Duration, Instant};
 
-/// The per-bucket speedup floors the full profile is gated on, in one place.
-/// The surface (union-find) sub-aggregate is the headline: the frame engine
-/// removes that family's dominant per-shot costs outright. The LDPC and
-/// whole-suite aggregates are capped by `bb_72_12`'s BP+OSD arithmetic —
-/// bit-identical work in both engines — so their floors are set at the
-/// measured honest level minus headroom for machine variance, not at the
-/// surface headline.
-const BUCKET_GATES: [(usize, &str, f64); 3] = [
-    (SURFACE, "surface (uf)", 5.0),
-    (LDPC, "ldpc (bposd)", 1.5),
-    (SUITE, "suite", 1.5),
-];
+/// Suite-aggregate overhead ceilings (percent), full profile only.
+const REGISTRY_MAX_PCT: f64 = 3.0;
+const TRACED_MAX_PCT: f64 = 5.0;
+const CONTROL_MAX_PCT: f64 = 1.0;
 
-/// Every per-code row must at least not regress against the scalar engine.
-const PER_CODE_FLOOR: f64 = 1.0;
-
-/// Aggregation-bucket indices into the wall-clock totals.
-const SURFACE: usize = 0;
-const LDPC: usize = 1;
-const SUITE: usize = 2;
-
-struct EngineRun {
-    failures: usize,
-    wall: Duration,
+/// Minimum walls of one code's configurations over the reps.
+#[derive(Clone, Copy)]
+struct Walls {
+    plain: Duration,
+    registry: Duration,
+    control: Duration,
+    traced: Duration,
 }
 
-struct FrameRow {
-    code: String,
-    p: f64,
-    shots: usize,
-    scalar: EngineRun,
-    frames: EngineRun,
-    parity_shots: usize,
-    parity_failures: usize,
-    /// Distinct non-zero syndromes the frames engine's chunks decoded
-    /// (`ler.decode.cache.miss` over the full budget) — how much per-chunk
-    /// dedup headroom this code has at the benchmarked operating point.
-    distinct_syndromes: u64,
-    /// Fraction of shots short-circuited by the zero-syndrome fast path.
-    zero_fraction: f64,
+impl Walls {
+    const ZERO: Walls = Walls {
+        plain: Duration::ZERO,
+        registry: Duration::ZERO,
+        control: Duration::ZERO,
+        traced: Duration::ZERO,
+    };
+    const UNMEASURED: Walls = Walls {
+        plain: Duration::MAX,
+        registry: Duration::MAX,
+        control: Duration::MAX,
+        traced: Duration::MAX,
+    };
+
+    fn add(&mut self, other: &Walls) {
+        self.plain += other.plain;
+        self.registry += other.registry;
+        self.control += other.control;
+        self.traced += other.traced;
+    }
+
+    /// `(registry, traced, control)` overheads in percent: the registry
+    /// against no obs, tracing and the control against the registry.
+    fn overheads_pct(&self) -> (f64, f64, f64) {
+        let pct = |wall: Duration, base: Duration| {
+            100.0 * (wall.as_secs_f64() / base.as_secs_f64().max(1e-12) - 1.0)
+        };
+        (
+            pct(self.registry, self.plain),
+            pct(self.traced, self.registry),
+            pct(self.control, self.registry),
+        )
+    }
 }
 
-impl FrameRow {
-    fn scalar_sps(&self) -> f64 {
-        self.shots as f64 / self.scalar.wall.as_secs_f64().max(1e-12)
-    }
-
-    fn frames_sps(&self) -> f64 {
-        self.shots as f64 / self.frames.wall.as_secs_f64().max(1e-12)
-    }
-
-    fn speedup(&self) -> f64 {
-        self.scalar.wall.as_secs_f64() / self.frames.wall.as_secs_f64().max(1e-12)
-    }
-
-    fn to_record(&self) -> ReportRecord {
-        ReportRecord::Table {
-            name: "frame_bench".into(),
-            fields: vec![
-                ("code".into(), Json::Str(self.code.clone())),
-                ("p".into(), Json::Float(self.p)),
-                ("shots".into(), Json::UInt(self.shots as u64)),
-                (
-                    "scalar_failures".into(),
-                    Json::UInt(self.scalar.failures as u64),
-                ),
-                (
-                    "frames_failures".into(),
-                    Json::UInt(self.frames.failures as u64),
-                ),
-                (
-                    "scalar_shots_per_sec".into(),
-                    Json::Float(self.scalar_sps()),
-                ),
-                (
-                    "frames_shots_per_sec".into(),
-                    Json::Float(self.frames_sps()),
-                ),
-                ("speedup".into(), Json::Float(self.speedup())),
-                ("parity_shots".into(), Json::UInt(self.parity_shots as u64)),
-                (
-                    "parity_failures".into(),
-                    Json::UInt(self.parity_failures as u64),
-                ),
-                // Additive batch-pipeline profile fields (see FORMATS.md):
-                // parsers that predate them ignore unknown table fields.
-                (
-                    "distinct_syndromes".into(),
-                    Json::UInt(self.distinct_syndromes),
-                ),
-                ("zero_fraction".into(), Json::Float(self.zero_fraction)),
-            ],
-        }
-    }
+fn sps(shots: usize, wall: Duration) -> f64 {
+    shots as f64 / wall.as_secs_f64().max(1e-12)
 }
 
 /// Same-frames decode parity: sample `shots` error frames once, then decode
-/// the identical syndromes through the scalar per-shot path, the decoder's
-/// raw `decode_batch`, and the full batch pipeline ([`decode_shots_cached`])
-/// with the syndrome-dedup cache on and off. Returns the (common) failure
-/// count; panics when any per-shot prediction — or the resulting failure
-/// count — differs anywhere in the stack.
+/// the identical syndromes through per-shot `decode`, the decoder's raw
+/// `decode_batch`, and the batch pipeline with the syndrome-dedup cache on and
+/// off. Returns the (common) failure count; panics when any per-shot
+/// prediction differs anywhere in the stack.
 fn assert_same_frames_parity(
     name: &str,
     dem: &DetectorErrorModel,
@@ -164,8 +123,7 @@ fn assert_same_frames_parity(
     let mut sampler = dem.sampler(seed);
     let mut det_frames = vec![0u64; dem.num_detectors()];
     let mut obs_frames = vec![0u64; dem.num_observables()];
-    let mut scalar_failures = 0usize;
-    let mut batch_failures = 0usize;
+    let mut failures = 0usize;
     let mut remaining = shots;
     while remaining > 0 {
         let lanes = remaining.min(64);
@@ -176,35 +134,23 @@ fn assert_same_frames_parity(
         let (cached, _) = decode_shots_cached(decoder, &det_shots, DecodeCache::On);
         let (uncached, _) = decode_shots_cached(decoder, &det_shots, DecodeCache::Off);
         for (lane, (shot, observed)) in det_shots.iter().zip(&obs_shots).enumerate() {
-            let scalar = decoder.decode(shot);
-            assert_eq!(
-                scalar, batch[lane],
-                "{name}: scalar decode and decode_batch disagree on identical frames \
-                 (seed {seed}, lane {lane})"
-            );
-            assert_eq!(
-                scalar, cached[lane],
-                "{name}: the dedup cache changed a prediction (seed {seed}, lane {lane})"
-            );
-            assert_eq!(
-                scalar, uncached[lane],
-                "{name}: the cache-off pipeline changed a prediction \
-                 (seed {seed}, lane {lane})"
-            );
-            if &scalar != observed {
-                scalar_failures += 1;
+            let reference = decoder.decode(shot);
+            for (path, prediction) in [
+                ("decode_batch", &batch[lane]),
+                ("the cache-on pipeline", &cached[lane]),
+                ("the cache-off pipeline", &uncached[lane]),
+            ] {
+                assert_eq!(
+                    &reference, prediction,
+                    "{name}: per-shot decode and {path} disagree on identical frames \
+                     (seed {seed}, lane {lane})"
+                );
             }
-            if &batch[lane] != observed {
-                batch_failures += 1;
-            }
+            failures += usize::from(&reference != observed);
         }
         remaining -= lanes;
     }
-    assert_eq!(
-        scalar_failures, batch_failures,
-        "{name}: engines must report identical failure counts on identical frames"
-    );
-    scalar_failures
+    failures
 }
 
 fn main() {
@@ -212,23 +158,23 @@ fn main() {
     let runtime = runtime_config_from_env();
     let shots = if smoke { 256 } else { 4096 };
     let parity_shots = if smoke { 128 } else { 256 };
-    println!("LER estimation throughput: bit-parallel frame engine vs scalar engine");
+    let reps = if smoke { 2 } else { 5 };
+    println!("LER throughput and observability overhead: frames engine, Table 1 suite");
     println!(
-        "  {shots} shots per code and engine, {} threads, chunk {}, seed {} \
-         (PROPHUNT_SMOKE=1 trims the budget)",
+        "  {shots} shots per code and configuration, best of {reps} alternating reps, \
+         {} threads, chunk {}, seed {} (PROPHUNT_SMOKE=1 trims the budget)",
         runtime.threads, runtime.chunk_size, runtime.seed
     );
     println!(
-        "{:<14} {:>7} {:>6} {:>12} {:>12} {:>9}  parity",
-        "code", "p", "shots", "scalar sh/s", "frames sh/s", "speedup"
+        "{:<14} {:>6} {:>11} {:>9} {:>8} {:>8} {:>7} {:>9} {:>6}  parity",
+        "code", "shots", "shots/s", "registry", "traced", "control", "events", "distinct", "zero"
     );
     let mut records = Vec::new();
-    // (scalar wall, frames wall, shots) per aggregation bucket.
-    let mut totals: [(Duration, Duration, usize); 3] = Default::default();
+    let mut totals = Walls::ZERO;
     for (stage, bench) in benchmark_suite(true).into_iter().enumerate() {
+        let name = bench.code.name().to_string();
         // The Table 1 operating point (p = 1e-3), with the production decoder
-        // for each family: union-find on the matchable surface codes, BP+OSD
-        // on the LDPC codes. This is the workload `tab01_codes` actually runs,
+        // for each family. This is the workload `tab01_codes` actually runs,
         // so the measured shots/sec is the real campaign hot path.
         let p = 1e-3;
         let schedule = bench
@@ -238,148 +184,169 @@ fn main() {
         let exp = MemoryExperiment::build(&bench.code, &schedule, bench.rounds, MemoryBasis::Z)
             .expect("benchmark schedule must be valid for its code");
         let dem = DetectorErrorModel::from_experiment(&exp, &NoiseModel::uniform_depolarizing(p));
-        let decoder: Box<dyn Decoder> = if bench.code.name().starts_with("surface") {
+        let decoder: Box<dyn Decoder> = if name.starts_with("surface") {
             Box::new(UnionFindDecoder::new(&dem))
         } else {
             Box::new(BpOsdDecoder::new(&dem))
         };
         let decoder = &*decoder;
-        let seed = stage_seed(&runtime, 80 + stage as u64);
-
-        // Same-frames decode parity: the deterministic gate, always on.
         let parity_failures = assert_same_frames_parity(
-            bench.code.name(),
+            &name,
             &dem,
             decoder,
             parity_shots,
             stage_seed(&runtime, 90 + stage as u64),
         );
 
-        let run = |engine: Engine| {
-            let rt = Runtime::new(runtime);
-            let t = Instant::now();
-            let (estimate, _) = estimate_with_budget_engine(
-                &dem,
-                decoder,
-                ShotBudget::fixed(shots),
-                seed,
-                engine,
-                &rt,
-                &mut |_| {},
-            );
-            EngineRun {
-                failures: estimate.failures,
-                wall: t.elapsed(),
-            }
-        };
-        let scalar = run(Engine::Scalar);
-        let frames = run(Engine::Frames);
-        // Untimed, observability-enabled frames run for the deterministic
-        // batch pipeline profile: how many distinct non-zero syndromes the
-        // chunks actually decoded (`ler.decode.cache.miss`) and what fraction
-        // of shots the zero fast path short-circuited. Kept separate from the
-        // timed runs so registry updates never skew the speedup ratio.
-        let (distinct_syndromes, zero_fraction) = {
-            let obs = Obs::enabled();
+        let options = LerOptions::fixed(shots, stage_seed(&runtime, 80 + stage as u64));
+        let run = |obs: &Obs| {
             let rt = Runtime::with_obs(runtime, obs.clone());
-            estimate_with_budget_engine(
-                &dem,
-                decoder,
-                ShotBudget::fixed(shots),
-                seed,
-                Engine::Frames,
-                &rt,
-                &mut |_| {},
-            );
-            let snap = obs.snapshot().expect("an enabled registry snapshots");
-            (
-                snap.counter("ler.decode.cache.miss"),
-                snap.counter("ler.decode.zero") as f64 / shots as f64,
-            )
+            let t = Instant::now();
+            let (estimate, _) =
+                estimate_logical_error_rate(&dem, decoder, options, &rt, &mut |_| {});
+            (estimate.failures, t.elapsed())
         };
-        let row = FrameRow {
-            code: bench.code.name().to_string(),
-            p,
+        // One registry per measured configuration, shared across the reps, so
+        // the counter totals are an exact function of (shots, reps).
+        let registry = Obs::enabled();
+        let control = Obs::enabled();
+        let mut walls = Walls::UNMEASURED;
+        let mut failures = None;
+        let mut events = None;
+        for _ in 0..reps {
+            let tracer = Tracer::new();
+            let traced = Obs::enabled().with_tracer(tracer.clone());
+            let mut measure = |obs: &Obs, best: &mut Duration| {
+                let (f, wall) = run(obs);
+                *best = (*best).min(wall);
+                // Deterministic gate: observability is out-of-band of the seed
+                // streams, so no configuration may change a failure count.
+                assert_eq!(
+                    *failures.get_or_insert(f),
+                    f,
+                    "{name}: an observability configuration changed the failure count"
+                );
+            };
+            measure(&Obs::disabled(), &mut walls.plain);
+            measure(&registry, &mut walls.registry);
+            measure(&control, &mut walls.control);
+            measure(&traced, &mut walls.traced);
+            // Deterministic gate: the span structure is a function of the
+            // deterministic chunking, so every traced rep records the same,
+            // nonzero number of events — and drops none.
+            let log = tracer.drain();
+            assert_eq!(log.dropped, 0, "{name}: trace dropped events");
+            assert!(!log.events.is_empty(), "{name}: trace recorded nothing");
+            assert_eq!(
+                *events.get_or_insert(log.events.len()),
+                log.events.len(),
+                "{name}: traced event count varies across identical reps"
+            );
+        }
+        // Deterministic gate: the registry observed exactly the shot budget,
+        // and the per-stage frame-pipeline histograms are populated.
+        let snap = registry.snapshot().expect("an enabled registry snapshots");
+        assert_eq!(
+            snap.counter("ler.shots"),
+            (shots * reps) as u64,
+            "{name}: ler.shots must equal the exact shot budget"
+        );
+        for hist in [
+            "ler.frames.sample.ns",
+            "ler.frames.transpose.ns",
+            "ler.frames.decode.ns",
+        ] {
+            assert!(
+                snap.histogram(hist).is_some_and(|h| h.count > 0),
+                "{name}: empty histogram {hist}"
+            );
+        }
+        let distinct_syndromes = snap.counter("ler.decode.cache.miss") / reps as u64;
+        let zero_fraction = snap.counter("ler.decode.zero") as f64 / (shots * reps) as f64;
+        let events = events.unwrap_or(0);
+        let (registry_pct, traced_pct, control_pct) = walls.overheads_pct();
+        println!(
+            "{:<14} {:>6} {:>11.0} {:>8.2}% {:>7.2}% {:>7.2}% {:>7} {:>9} {:>5.0}%  ok ({}/{} failures)",
+            name,
             shots,
-            scalar,
-            frames,
-            parity_shots,
-            parity_failures,
+            sps(shots, walls.plain),
+            registry_pct,
+            traced_pct,
+            control_pct,
+            events,
             distinct_syndromes,
-            zero_fraction,
-        };
-        println!(
-            "{:<14} {:>7} {:>6} {:>12.0} {:>12.0} {:>8.1}x  ok ({}/{} failures, \
-             {} distinct, {:.0}% zero)",
-            row.code,
-            row.p,
-            row.shots,
-            row.scalar_sps(),
-            row.frames_sps(),
-            row.speedup(),
-            row.parity_failures,
-            row.parity_shots,
-            row.distinct_syndromes,
-            100.0 * row.zero_fraction,
+            100.0 * zero_fraction,
+            parity_failures,
+            parity_shots,
         );
-        // Per-code timing gates only run at the full budget: the smoke
-        // profile's per-code windows are short enough that one scheduler
-        // stall on a loaded CI runner could flip the comparison with no code
-        // defect. (The same-frames parity assert above is the deterministic
-        // gate and always runs.)
-        if !smoke {
-            assert!(
-                row.speedup() >= PER_CODE_FLOOR,
-                "frame engine must not be slower than scalar on {}",
-                row.code
-            );
-        }
-        let family = if row.code.starts_with("surface") {
-            SURFACE
-        } else {
-            LDPC
-        };
-        for bucket in [family, SUITE] {
-            totals[bucket].0 += row.scalar.wall;
-            totals[bucket].1 += row.frames.wall;
-            totals[bucket].2 += row.shots;
-        }
-        records.push(row.to_record());
-    }
-    for (bucket, label, floor) in BUCKET_GATES {
-        let (scalar, frames, shots) = totals[bucket];
-        let speedup = scalar.as_secs_f64() / frames.as_secs_f64().max(1e-12);
-        let scalar_sps = shots as f64 / scalar.as_secs_f64().max(1e-12);
-        let frames_sps = shots as f64 / frames.as_secs_f64().max(1e-12);
-        println!(
-            "{:<14} {:>7} {:>6} {:>12.0} {:>12.0} {:>8.1}x",
-            label, "", shots, scalar_sps, frames_sps, speedup
-        );
-        if !smoke {
-            assert!(
-                speedup >= floor,
-                "frame engine must deliver >= {floor}x aggregate shots/sec \
-                 over scalar on {label} (got {speedup:.2}x)"
-            );
-        }
+        totals.add(&walls);
         records.push(ReportRecord::Table {
             name: "frame_bench".into(),
             fields: vec![
-                ("code".into(), Json::Str(label.into())),
+                ("code".into(), Json::Str(name)),
+                ("p".into(), Json::Float(p)),
                 ("shots".into(), Json::UInt(shots as u64)),
-                ("scalar_shots_per_sec".into(), Json::Float(scalar_sps)),
-                ("frames_shots_per_sec".into(), Json::Float(frames_sps)),
-                ("speedup".into(), Json::Float(speedup)),
+                ("failures".into(), Json::UInt(failures.unwrap_or(0) as u64)),
+                ("shots_per_sec".into(), Json::Float(sps(shots, walls.plain))),
+                ("registry_overhead_pct".into(), Json::Float(registry_pct)),
+                ("traced_overhead_pct".into(), Json::Float(traced_pct)),
+                ("control_overhead_pct".into(), Json::Float(control_pct)),
+                ("events".into(), Json::UInt(events as u64)),
+                ("parity_shots".into(), Json::UInt(parity_shots as u64)),
+                ("parity_failures".into(), Json::UInt(parity_failures as u64)),
+                ("distinct_syndromes".into(), Json::UInt(distinct_syndromes)),
+                ("zero_fraction".into(), Json::Float(zero_fraction)),
             ],
         });
     }
+    let (registry_pct, traced_pct, control_pct) = totals.overheads_pct();
+    // One record per code so far.
+    let suite_shots = shots * records.len();
+    println!(
+        "{:<14} {:>6} {:>11.0} {:>8.2}% {:>7.2}% {:>7.2}%",
+        "suite",
+        suite_shots,
+        sps(suite_shots, totals.plain),
+        registry_pct,
+        traced_pct,
+        control_pct
+    );
+    records.push(ReportRecord::Table {
+        name: "frame_bench".into(),
+        fields: vec![
+            ("code".into(), Json::Str("suite".into())),
+            ("shots".into(), Json::UInt(suite_shots as u64)),
+            (
+                "shots_per_sec".into(),
+                Json::Float(sps(suite_shots, totals.plain)),
+            ),
+            ("registry_overhead_pct".into(), Json::Float(registry_pct)),
+            ("traced_overhead_pct".into(), Json::Float(traced_pct)),
+            ("control_overhead_pct".into(), Json::Float(control_pct)),
+        ],
+    });
     if smoke {
         // Never clobber the committed full-profile baseline with trimmed
         // smoke numbers.
         println!("smoke mode: skipping BENCH_frames.json (baseline is the full profile)");
-    } else {
-        std::fs::write("BENCH_frames.json", write_report(&records))
-            .expect("cannot write BENCH_frames.json");
-        println!("wrote BENCH_frames.json ({} rows)", records.len());
+        return;
     }
+    assert!(
+        registry_pct <= REGISTRY_MAX_PCT,
+        "the obs registry must cost <= {REGISTRY_MAX_PCT}% of LER throughput on the \
+         suite aggregate (got {registry_pct:.2}%)"
+    );
+    assert!(
+        traced_pct <= TRACED_MAX_PCT,
+        "full tracing must cost <= {TRACED_MAX_PCT}% of LER throughput on the suite \
+         aggregate (got {traced_pct:.2}%)"
+    );
+    assert!(
+        control_pct.abs() <= CONTROL_MAX_PCT,
+        "a tracer-free registry is the baseline configuration; the control run must \
+         agree within {CONTROL_MAX_PCT}% (got {control_pct:.2}%)"
+    );
+    std::fs::write("BENCH_frames.json", write_report(&records))
+        .expect("cannot write BENCH_frames.json");
+    println!("wrote BENCH_frames.json ({} rows)", records.len());
 }

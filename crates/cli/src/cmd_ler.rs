@@ -8,7 +8,7 @@ use crate::common::{
     decoder_from_flags, engine_from_flags, load_code, load_schedule, meta_record, noise_from_flags,
     read_file, runtime_from_flags, session_from_flags, write_metrics_file, write_trace_files,
 };
-use prophunt_api::{ExperimentSpec, LerJob, LerOutcome, ScheduleSource, StopReason};
+use prophunt_api::{ExperimentSpec, LerJob, LerOptions, LerOutcome, ScheduleSource, StopReason};
 use prophunt_formats::parse_dem;
 use prophunt_formats::report::ReportRecord;
 
@@ -26,10 +26,9 @@ prophunt ler --code <family-or-spec-file> [--schedule <s>] [options]
   --noise         full noise spec for --code (depolarizing:<p>[:<idle>],
                   si1000:<p>, biased:<p>:<eta>[:<idle>]); conflicts with --p/--idle
   --decoder       decoder name: bposd (default) or unionfind
-  --engine        estimation engine: scalar (default) or frames (bit-parallel,
-                  64 shots per word; each engine is deterministic per seed, but
-                  the two use different RNG stream layouts)
-  --decode-cache  frames-engine syndrome-dedup cache: on (default) or off;
+  --engine        estimation engine: frames, the only one (bit-parallel, 64
+                  shots per word); accepted for compatibility, scalar was removed
+  --decode-cache  syndrome-dedup decode cache: on (default) or off;
                   results are bit-identical either way (A/B timing knob)
   --shots         Monte-Carlo shot cap (default 2000)
   --max-failures  stop at the chunk where this many failures accumulate
@@ -99,16 +98,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             }
             let dem = parse_dem(&read_file(path)?)
                 .map_err(|e| CliError::failure(format!("{path}: {e}")))?;
+            let options = LerOptions::new(budget, runtime.seed).with_cache(decode_cache);
             let outcome = session
-                .run_ler_on_dem(
-                    &dem,
-                    &decoder,
-                    budget,
-                    runtime.seed,
-                    engine,
-                    decode_cache,
-                    |_| {},
-                )
+                .run_ler_on_dem(&dem, &decoder, options, |_| {})
                 .map_err(CliError::failure)?;
             let label = flags.get("label").unwrap_or(path);
             records.push(outcome.to_record(label));
@@ -128,7 +120,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
                 .schedule(ScheduleSource::Explicit(schedule))
                 .noise(noise)
                 .decoder(&decoder)
-                .engine(engine)
                 .decode_cache(decode_cache)
                 .rounds(rounds)
                 .basis(basis)

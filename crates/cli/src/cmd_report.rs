@@ -84,13 +84,13 @@ fn parse_metrics(path: &str, text: &str) -> Result<MetricsFile, CliError> {
 
 /// Percentage rates derived from the deterministic counters: one
 /// `<prefix> hit rate` per `<prefix>.hit` / `<prefix>.miss` sibling pair
-/// (session caches, the frames-engine syndrome-dedup cache), plus the batch
+/// (session caches, the LER kernel's syndrome-dedup cache), plus the batch
 /// decode pipeline's BP convergence rate — the fraction of non-trivial
 /// distinct syndromes min-sum BP resolved without the OSD-0 fallback
 /// (`ler.decode.bp.converged` out of converged + `ler.decode.osd.calls`).
 ///
 /// Derived from deterministic inputs, these rates are themselves bit-identical
-/// at any thread count for a fixed (seed, chunk_size, engine), so the diff
+/// at any thread count for a fixed (seed, chunk_size), so the diff
 /// mode treats them like counters: any drift is a real behavior change.
 fn derived_rates(counters: &[(String, u64)]) -> Vec<(String, f64)> {
     let lookup = |name: &str| counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
@@ -360,8 +360,9 @@ mod tests {
 
     #[test]
     fn bp_convergence_rate_needs_batch_counters() {
-        // A scalar-engine stream has no ler.decode.* counters: no convergence
-        // rate row, and no division by an all-zero total.
+        // A metrics stream from before the batch pipeline (or from a run
+        // without LER jobs) has no ler.decode.* counters: no convergence rate
+        // row, and no division by an all-zero total.
         let counters = vec![("ler.shots".to_string(), 4096u64)];
         assert!(derived_rates(&counters).is_empty());
         let zeroed = vec![

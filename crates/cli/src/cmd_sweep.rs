@@ -25,8 +25,8 @@ prophunt sweep --codes <fam1,fam2,...> [options]
   --schedule      coloration (default) or hand (surface codes only)
   --basis         z (default), x, or both
   --rounds        syndrome-measurement rounds (default 3)
-  --engine        estimation engine for every grid point: scalar (default)
-                  or frames (bit-parallel, 64 shots per word)
+  --engine        estimation engine: frames, the only one (bit-parallel, 64
+                  shots per word); accepted for compatibility, scalar was removed
   --shots         shot cap per grid point (default 2000)
   --max-failures  adaptive stop: failures per grid point
   --target-rse    adaptive stop: relative standard error per grid point
@@ -139,7 +139,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             .schedule(ScheduleSource::Explicit(schedule))
             .rounds(rounds)
             .basis(basis)
-            .engine(engine)
             .build()
             .map_err(CliError::failure)?;
         for &p in &ps {

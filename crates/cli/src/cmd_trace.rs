@@ -404,7 +404,7 @@ mod tests {
     }
 
     /// The golden span fixture: one runtime.call holding three tasks across two
-    /// workers, the longest task holding an ler.chunk with two stage completes.
+    /// workers, the longest task holding an ler.chunk with two stage spans.
     fn fixture_spans() -> Vec<TraceSpan> {
         vec![
             span("runtime.call", 0, 1, 0, 0, 10_000),
@@ -412,8 +412,8 @@ mod tests {
             span("runtime.task", 2, 3, 1, 500, 8_000),
             span("runtime.task", 1, 4, 1, 5_000, 3_000),
             span("ler.chunk", 2, 5, 3, 600, 7_500),
-            span("ler.scalar.sample", 2, 6, 5, 600, 4_500),
-            span("ler.scalar.decode", 2, 7, 5, 5_100, 3_000),
+            span("ler.frames.sample", 2, 6, 5, 600, 4_500),
+            span("ler.frames.decode", 2, 7, 5, 5_100, 3_000),
         ]
     }
 
@@ -426,7 +426,7 @@ mod tests {
              \x20 runtime.call [worker 0] 10.00us (100.0% of root, starts +0ns)\n\
              \x20   runtime.task [worker 2] 8.00us (80.0% of root, starts +500ns)\n\
              \x20     ler.chunk [worker 2] 7.50us (75.0% of root, starts +600ns)\n\
-             \x20       ler.scalar.sample [worker 2] 4.50us (45.0% of root, starts +600ns)\n"
+             \x20       ler.frames.sample [worker 2] 4.50us (45.0% of root, starts +600ns)\n"
         );
     }
 
@@ -449,8 +449,8 @@ mod tests {
                 "runtime.task",
                 "runtime.call",
                 "ler.chunk",
-                "ler.scalar.sample",
-                "ler.scalar.decode"
+                "ler.frames.sample",
+                "ler.frames.decode"
             ]
         );
     }

@@ -269,13 +269,18 @@ pub fn decoder_from_flags(flags: &Flags) -> String {
     flags.get("decoder").unwrap_or("bposd").to_string()
 }
 
-/// Parses `--engine` into a [`prophunt_api::Engine`] (default scalar).
+/// Checks `--engine`: `frames`, the only LER engine, is accepted (and is
+/// the default); `scalar` names the removed per-shot engine and is a usage
+/// error, as is any other name.
 pub fn engine_from_flags(flags: &Flags) -> Result<prophunt_api::Engine, CliError> {
     match flags.get("engine") {
-        None => Ok(prophunt_api::Engine::Scalar),
-        Some(name) => prophunt_api::Engine::parse(name).ok_or_else(|| {
-            CliError::usage(format!("--engine must be scalar or frames, got {name:?}"))
-        }),
+        None => Ok(prophunt_api::Engine::Frames),
+        Some("scalar") => Err(CliError::usage(
+            "the scalar engine was removed; frames is the only LER engine \
+             (omit --engine or pass --engine frames)",
+        )),
+        Some(name) => prophunt_api::Engine::parse(name)
+            .ok_or_else(|| CliError::usage(format!("--engine must be frames, got {name:?}"))),
     }
 }
 

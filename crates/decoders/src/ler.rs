@@ -8,18 +8,14 @@
 //! `(seed, chunk_size)` gives bit-identical failure counts at any thread count —
 //! including runs that stop early.
 //!
-//! Two per-chunk kernels implement the same contract behind the [`Engine`]
-//! selector: the scalar kernel samples and decodes one shot at a time, while the
-//! bit-parallel *frame* kernel packs 64 shots per machine word
+//! The per-chunk kernel is bit-parallel: it packs 64 shots per machine word
 //! ([`DemSampler::sample_frames`](prophunt_circuit::DemSampler::sample_frames)),
 //! transposes the frames into per-shot syndromes and decodes the whole chunk
 //! through the batch pipeline ([`decode_shots_cached`]): zero-syndrome fast
 //! path, per-chunk syndrome-dedup cache, then [`Decoder::decode_batch`] on the
-//! distinct residue. Each engine is a pure function of `(seed, chunk_size)`,
-//! but the two lay out the chunk's RNG stream differently (shot-major vs
-//! mechanism-major), so their shot sequences — and hence failure counts —
-//! differ; what is identical across engines is the per-shot decode result on
-//! the same error frames. The pipeline's tallies surface as the deterministic
+//! distinct residue. Per-shot [`Decoder::decode`] stays the reference: on the
+//! same error frames the pipeline's predictions equal it shot for shot. The
+//! pipeline's tallies surface as the deterministic
 //! `ler.decode.{zero,cache.hit,cache.miss,bp.converged,osd.calls}` counters,
 //! incremented — like every LER counter — only in the in-order adaptive scan.
 
@@ -27,9 +23,8 @@ use crate::batch::{decode_shots_cached, DecodeCache, DecodeStats};
 use crate::Decoder;
 use prophunt_circuit::DetectorErrorModel;
 use prophunt_gf2::{transpose_lane_words, BitVec};
-use prophunt_obs::{duration_ns, Histogram, Obs};
+use prophunt_obs::{Obs, SpanSite};
 use prophunt_runtime::{Runtime, SeedStream};
-use std::time::{Duration, Instant};
 
 /// The result of a Monte-Carlo logical-error-rate estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,7 +177,7 @@ impl LerStopReason {
 }
 
 /// Cumulative progress after one completed chunk, reported to the observer of
-/// [`estimate_with_budget`] in chunk-index order.
+/// [`estimate_logical_error_rate`] in chunk-index order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkProgress {
     /// Index of the chunk that just completed (0-based).
@@ -193,61 +188,52 @@ pub struct ChunkProgress {
     pub failures: usize,
 }
 
-/// Which per-chunk sampling/decoding kernel an estimation run uses.
+/// What one estimation run spends and how: the shot budget, the base seed and
+/// the batch pipeline's decode-cache setting.
 ///
-/// Both engines satisfy the same determinism contract — results are a pure
-/// function of `(seed, chunk_size, engine)` at any thread count — and both spend
-/// exactly one RNG draw per error mechanism per shot. They lay that stream out
-/// differently (scalar: shot-major; frames: mechanism-major within each 64-shot
-/// block), so the two engines sample *different* shot sequences for the same
-/// seed and are not expected to report identical failure counts. On the same
-/// error frames their per-shot decode results are identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Engine {
-    /// Sample and decode one shot at a time.
-    #[default]
-    Scalar,
-    /// Bit-parallel kernel: sample 64 shots per machine word, transpose, and
-    /// batch-decode via [`Decoder::decode_batch`].
-    Frames,
+/// `(seed, chunk_size)` fixes the result bit-for-bit; the cache setting never
+/// changes it (every prediction is a pure function of its syndrome), only
+/// wall-clock time and the `ler.decode.*` counters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LerOptions {
+    /// How many shots to spend, and when to stop early.
+    pub budget: ShotBudget,
+    /// Base seed; chunk `c` samples from `SeedStream::new(seed).seed_for(c)`.
+    pub seed: u64,
+    /// Zero fast path and syndrome-dedup cache in front of the decoder.
+    pub cache: DecodeCache,
 }
 
-impl Engine {
-    /// A stable machine-readable name (used in report records and CLI flags).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Engine::Scalar => "scalar",
-            Engine::Frames => "frames",
+impl LerOptions {
+    /// Options with the given budget and seed and the default decode cache
+    /// ([`DecodeCache::On`]).
+    pub fn new(budget: ShotBudget, seed: u64) -> LerOptions {
+        LerOptions {
+            budget,
+            seed,
+            cache: DecodeCache::default(),
         }
     }
 
-    /// Parses the name produced by [`Engine::as_str`].
-    pub fn parse(name: &str) -> Option<Engine> {
-        match name {
-            "scalar" => Some(Engine::Scalar),
-            "frames" => Some(Engine::Frames),
-            _ => None,
-        }
+    /// Options for exactly `shots` shots ([`ShotBudget::Fixed`]).
+    pub fn fixed(shots: usize, seed: u64) -> LerOptions {
+        LerOptions::new(ShotBudget::fixed(shots), seed)
     }
-}
 
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Engine, String> {
-        Engine::parse(s).ok_or_else(|| format!("unknown engine '{s}' (expected scalar|frames)"))
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+    /// Returns the options with a different decode-cache setting.
+    pub fn with_cache(self, cache: DecodeCache) -> LerOptions {
+        LerOptions { cache, ..self }
     }
 }
 
 /// Estimates the logical error rate of `decoder` on shots sampled from `dem`,
-/// spending at most `budget` and stopping early when the budget's adaptive rule is
-/// satisfied.
+/// spending at most `options.budget` and stopping early when the budget's
+/// adaptive rule is satisfied.
+///
+/// A shot counts as a failure when the predicted observable flips differ from
+/// the true flips in *any* logical observable (the paper's per-shot logical
+/// error, covering both X and Z logicals when both experiments' estimates are
+/// combined).
 ///
 /// Chunks are evaluated in parallel waves, but the stopping rule is applied by
 /// scanning completed chunks *in chunk-index order*, so the returned estimate (and
@@ -257,75 +243,19 @@ impl std::fmt::Display for Engine {
 /// equivalent [`ShotBudget::Fixed`] run, where `k` is the first chunk satisfying
 /// the rule.
 ///
-/// Equivalent to [`estimate_with_budget_engine`] with [`Engine::Scalar`].
-///
 /// `observer` is invoked once per counted chunk with the cumulative progress.
-pub fn estimate_with_budget(
+pub fn estimate_logical_error_rate(
     dem: &DetectorErrorModel,
     decoder: &dyn Decoder,
-    budget: ShotBudget,
-    seed: u64,
+    options: LerOptions,
     runtime: &Runtime,
     observer: &mut dyn FnMut(ChunkProgress),
 ) -> (LogicalErrorEstimate, LerStopReason) {
-    estimate_with_budget_engine(
-        dem,
-        decoder,
+    let LerOptions {
         budget,
         seed,
-        Engine::Scalar,
-        runtime,
-        observer,
-    )
-}
-
-/// [`estimate_with_budget`] with an explicit [`Engine`] selecting the per-chunk
-/// kernel.
-///
-/// The chunk structure (boundaries, seeds, in-order adaptive scan) is identical
-/// for both engines; only the kernel that turns a `(chunk_shots, chunk_seed)`
-/// pair into a failure count differs. A fixed `(seed, chunk_size, engine)` is
-/// bit-identical at any thread count.
-pub fn estimate_with_budget_engine(
-    dem: &DetectorErrorModel,
-    decoder: &dyn Decoder,
-    budget: ShotBudget,
-    seed: u64,
-    engine: Engine,
-    runtime: &Runtime,
-    observer: &mut dyn FnMut(ChunkProgress),
-) -> (LogicalErrorEstimate, LerStopReason) {
-    estimate_with_budget_engine_cached(
-        dem,
-        decoder,
-        budget,
-        seed,
-        engine,
-        DecodeCache::default(),
-        runtime,
-        observer,
-    )
-}
-
-/// [`estimate_with_budget_engine`] with an explicit [`DecodeCache`] knob for
-/// the frames engine's batch decode pipeline.
-///
-/// The cache is bit-identity-preserving (every prediction is a pure function
-/// of its syndrome), so the returned estimate is the same for both settings —
-/// which is exactly what the knob makes checkable; only wall-clock and the
-/// `ler.decode.*` counters differ. The scalar engine streams shot by shot and
-/// ignores the knob.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_with_budget_engine_cached(
-    dem: &DetectorErrorModel,
-    decoder: &dyn Decoder,
-    budget: ShotBudget,
-    seed: u64,
-    engine: Engine,
-    cache: DecodeCache,
-    runtime: &Runtime,
-    observer: &mut dyn FnMut(ChunkProgress),
-) -> (LogicalErrorEstimate, LerStopReason) {
+        cache,
+    } = options;
     let max_shots = budget.max_shots();
     if max_shots == 0 {
         return (LogicalErrorEstimate::ZERO, LerStopReason::ShotsExhausted);
@@ -340,21 +270,18 @@ pub fn estimate_with_budget_engine_cached(
     // discarded, so the counted chunk prefix — and every counter — is a pure
     // function of (seed, chunk_size, budget), never of the thread count.
     let obs = runtime.obs();
-    let chunks_ctr = obs.counter("ler.chunks");
-    let shots_ctr = obs.counter("ler.shots");
-    let failures_ctr = obs.counter("ler.failures");
-    // The batch decode pipeline runs in the frames kernel only, so its
-    // counters are registered only there (a scalar run reporting them as
-    // zero would read as "the cache did nothing" rather than "not applicable").
-    let decode_ctr = |name: &str| match engine {
-        Engine::Frames => obs.counter(name),
-        Engine::Scalar => None,
-    };
-    let zero_ctr = decode_ctr("ler.decode.zero");
-    let hit_ctr = decode_ctr("ler.decode.cache.hit");
-    let miss_ctr = decode_ctr("ler.decode.cache.miss");
-    let bp_ctr = decode_ctr("ler.decode.bp.converged");
-    let osd_ctr = decode_ctr("ler.decode.osd.calls");
+    let counters = [
+        "ler.chunks",
+        "ler.shots",
+        "ler.failures",
+        "ler.decode.zero",
+        "ler.decode.cache.hit",
+        "ler.decode.cache.miss",
+        "ler.decode.bp.converged",
+        "ler.decode.osd.calls",
+    ]
+    .map(|name| obs.counter(name));
+    let spans = ChunkSpans::new(obs);
     while done < total_chunks {
         // One wave of chunks. The wave size is a wall-clock knob only: stopping is
         // decided by an in-order scan below, so overshooting a wave never changes
@@ -363,39 +290,31 @@ pub fn estimate_with_budget_engine_cached(
         let results = runtime.run_tasks(wave, |i| {
             let c = done + i;
             let chunk_shots = chunk.min(max_shots - c * chunk);
-            let chunk_seed = stream.seed_for(c as u64);
-            match engine {
-                Engine::Scalar => run_shots(dem, decoder, chunk_shots, chunk_seed, obs),
-                Engine::Frames => {
-                    run_shots_frames(dem, decoder, chunk_shots, chunk_seed, cache, obs)
-                }
-            }
+            run_chunk(
+                dem,
+                decoder,
+                chunk_shots,
+                stream.seed_for(c as u64),
+                cache,
+                &spans,
+            )
         });
-        for (i, partial) in results.into_iter().enumerate() {
-            cumulative = cumulative.combined(partial.estimate);
-            if let Some(c) = &chunks_ctr {
-                c.inc();
-            }
-            if let Some(c) = &shots_ctr {
-                c.add(partial.estimate.shots as u64);
-            }
-            if let Some(c) = &failures_ctr {
-                c.add(partial.estimate.failures as u64);
-            }
-            if let Some(c) = &zero_ctr {
-                c.add(partial.decode.zero as u64);
-            }
-            if let Some(c) = &hit_ctr {
-                c.add(partial.decode.cache_hits as u64);
-            }
-            if let Some(c) = &miss_ctr {
-                c.add(partial.decode.cache_misses as u64);
-            }
-            if let Some(c) = &bp_ctr {
-                c.add(partial.decode.bp_converged as u64);
-            }
-            if let Some(c) = &osd_ctr {
-                c.add(partial.decode.osd_calls as u64);
+        for (i, (estimate, decode)) in results.into_iter().enumerate() {
+            cumulative = cumulative.combined(estimate);
+            let tallies = [
+                1,
+                estimate.shots,
+                estimate.failures,
+                decode.zero,
+                decode.cache_hits,
+                decode.cache_misses,
+                decode.bp_converged,
+                decode.osd_calls,
+            ];
+            for (counter, n) in counters.iter().zip(tallies) {
+                if let Some(c) = counter {
+                    c.add(n as u64);
+                }
             }
             observer(ChunkProgress {
                 chunk: done + i,
@@ -411,247 +330,73 @@ pub fn estimate_with_budget_engine_cached(
     (cumulative, LerStopReason::ShotsExhausted)
 }
 
-/// One chunk kernel's result: the shot/failure tally plus the batch decode
-/// pipeline's deterministic per-chunk stats (populated by the frames kernel;
-/// the scalar kernel streams shot by shot and reports the all-zero default).
-struct ChunkResult {
-    estimate: LogicalErrorEstimate,
-    decode: DecodeStats,
+/// The chunk kernel's span sites, resolved once per estimation run: the
+/// per-chunk span and one span per pipeline stage. Each records `<name>.ns`
+/// with a registry and a trace span with a tracer; with neither attached every
+/// span is inert and the kernel reads no clock.
+struct ChunkSpans {
+    chunk: SpanSite,
+    sample: SpanSite,
+    transpose: SpanSite,
+    decode: SpanSite,
 }
 
-/// Estimates the logical error rate of `decoder` on `shots` shots sampled from
-/// `dem`.
-///
-/// A shot counts as a failure when the predicted observable flips differ from the true
-/// flips in *any* logical observable (the paper's per-shot logical error, covering both
-/// X and Z logicals when both experiments' estimates are combined).
-///
-/// Equivalent to [`estimate_with_budget`] with [`ShotBudget::Fixed`]; see there for
-/// the chunking and determinism contract.
-pub fn estimate_logical_error_rate(
-    dem: &DetectorErrorModel,
-    decoder: &dyn Decoder,
-    shots: usize,
-    seed: u64,
-    runtime: &Runtime,
-) -> LogicalErrorEstimate {
-    estimate_with_budget(
-        dem,
-        decoder,
-        ShotBudget::fixed(shots),
-        seed,
-        runtime,
-        &mut |_| {},
-    )
-    .0
-}
-
-/// Hoisted histogram handles for one scalar-kernel invocation. `None` when the
-/// runtime carries no registry, in which case the kernel takes the untimed
-/// loop and never reads the clock.
-struct ScalarTiming {
-    sample: Histogram,
-    decode: Histogram,
-}
-
-impl ScalarTiming {
-    fn from_obs(obs: &Obs) -> Option<ScalarTiming> {
-        Some(ScalarTiming {
-            sample: obs.histogram("ler.scalar.sample.ns")?,
-            decode: obs.histogram("ler.scalar.decode.ns")?,
-        })
-    }
-}
-
-fn run_shots(
-    dem: &DetectorErrorModel,
-    decoder: &dyn Decoder,
-    shots: usize,
-    seed: u64,
-    obs: &Obs,
-) -> ChunkResult {
-    let mut sampler = dem.sampler(seed);
-    let mut detectors = BitVec::zeros(dem.num_detectors());
-    let mut observables = BitVec::zeros(dem.num_observables());
-    let mut failures = 0usize;
-    let timing = ScalarTiming::from_obs(obs);
-    let tracer = obs.tracer();
-    if timing.is_some() || tracer.is_some() {
-        let chunk_trace = tracer.map(|t| t.span("ler.chunk", "ler"));
-        // lint: allow(no-wall-clock) — timing seam: anchors the synthetic
-        // per-stage trace blocks only; shot results never depend on the clock.
-        let chunk_start = Instant::now();
-        // Per-shot stage times are accumulated into chunk-local totals and
-        // recorded once per chunk, so the enabled path adds two clock reads
-        // per shot and two histogram ops per chunk.
-        let mut sample_ns = 0u64;
-        let mut decode_ns = 0u64;
-        for _ in 0..shots {
-            // lint: allow(no-wall-clock) — timing seam: feeds the obs stage
-            // histograms and trace stage blocks only; shot results never
-            // depend on the clock.
-            let t0 = Instant::now();
-            sampler.sample_into(&mut detectors, &mut observables);
-            // lint: allow(no-wall-clock) — timing seam (same stage outputs).
-            let t1 = Instant::now();
-            let failed = decoder.decode(&detectors) != observables;
-            decode_ns += duration_ns(t1.elapsed());
-            sample_ns += duration_ns(t1.duration_since(t0));
-            failures += usize::from(failed);
-        }
-        if shots > 0 {
-            if let Some(timing) = &timing {
-                timing.sample.record(sample_ns);
-                timing.decode.record(decode_ns);
-            }
-            if let Some(t) = tracer {
-                // The per-shot stages interleave, so the timeline shows them
-                // as two back-to-back synthetic blocks anchored at the chunk
-                // start; they nest under the open `ler.chunk` span.
-                t.complete(
-                    "ler.scalar.sample",
-                    "ler.stage",
-                    chunk_start,
-                    sample_ns,
-                    &[],
-                );
-                t.complete(
-                    "ler.scalar.decode",
-                    "ler.stage",
-                    chunk_start + Duration::from_nanos(sample_ns),
-                    decode_ns,
-                    &[],
-                );
-            }
-        }
-        if let Some(mut span) = chunk_trace {
-            span.arg("shots", shots as u64);
-            span.arg("failures", failures as u64);
-            span.finish();
-        }
-    } else {
-        for _ in 0..shots {
-            sampler.sample_into(&mut detectors, &mut observables);
-            if decoder.decode(&detectors) != observables {
-                failures += 1;
-            }
+impl ChunkSpans {
+    fn new(obs: &Obs) -> ChunkSpans {
+        ChunkSpans {
+            chunk: obs.span_site("ler.chunk", "ler"),
+            sample: obs.span_site("ler.frames.sample", "ler.stage"),
+            transpose: obs.span_site("ler.frames.transpose", "ler.stage"),
+            decode: obs.span_site("ler.frames.decode", "ler.stage"),
         }
     }
-    ChunkResult {
-        estimate: LogicalErrorEstimate { shots, failures },
-        decode: DecodeStats::default(),
-    }
 }
 
-/// Hoisted histogram handles for one frame-kernel invocation; one record per
-/// 64-lane block per stage when enabled, nothing when disabled.
-struct FrameTiming {
-    sample: Histogram,
-    transpose: Histogram,
-    decode: Histogram,
-}
-
-impl FrameTiming {
-    fn from_obs(obs: &Obs) -> Option<FrameTiming> {
-        Some(FrameTiming {
-            sample: obs.histogram("ler.frames.sample.ns")?,
-            transpose: obs.histogram("ler.frames.transpose.ns")?,
-            decode: obs.histogram("ler.frames.decode.ns")?,
-        })
-    }
-}
-
-fn run_shots_frames(
+/// One chunk: samples `shots` error frames 64 lanes per machine word,
+/// transposes them into per-shot syndromes, decodes the whole chunk through
+/// the batch pipeline and counts the failures. Returns the tally plus the
+/// pipeline's deterministic [`DecodeStats`].
+fn run_chunk(
     dem: &DetectorErrorModel,
     decoder: &dyn Decoder,
     shots: usize,
     seed: u64,
     cache: DecodeCache,
-    obs: &Obs,
-) -> ChunkResult {
+    spans: &ChunkSpans,
+) -> (LogicalErrorEstimate, DecodeStats) {
+    let mut chunk_span = spans.chunk.start();
     let mut sampler = dem.sampler(seed);
     let mut det_frames = vec![0u64; dem.num_detectors()];
     let mut obs_frames = vec![0u64; dem.num_observables()];
     let mut det_shots: Vec<BitVec> = Vec::with_capacity(shots);
     let mut obs_shots: Vec<BitVec> = Vec::with_capacity(shots);
-    let mut failures = 0usize;
     let mut remaining = shots;
-    let timing = FrameTiming::from_obs(obs);
-    let tracer = obs.tracer();
-    let chunk_trace = tracer.map(|t| t.span("ler.chunk", "ler"));
-    // Sample and transpose every 64-lane block first — in the exact
-    // `sample_frames` call order of the per-block pipeline, so the RNG
-    // stream (and therefore the sampled shots) is unchanged — then decode
-    // the whole chunk at once so the syndrome-dedup cache sees the full
-    // chunk's duplicate structure.
+    // Sample and transpose every 64-lane block first, then decode the whole
+    // chunk at once so the syndrome-dedup cache sees the full chunk's
+    // duplicate structure.
     while remaining > 0 {
         let lanes = remaining.min(64);
-        if timing.is_some() || tracer.is_some() {
-            // lint: allow(no-wall-clock) — timing seam: the stamps below feed
-            // the obs stage histograms and trace stage blocks only; decode
-            // results never depend on the clock.
-            let t0 = Instant::now();
-            sampler.sample_frames(lanes, &mut det_frames, &mut obs_frames);
-            // lint: allow(no-wall-clock) — timing seam (same stage outputs).
-            let t1 = Instant::now();
-            det_shots.extend(transpose_lane_words(&det_frames, lanes));
-            obs_shots.extend(transpose_lane_words(&obs_frames, lanes));
-            let transpose_ns = duration_ns(t1.elapsed());
-            let sample_ns = duration_ns(t1.duration_since(t0));
-            if let Some(timing) = &timing {
-                timing.sample.record(sample_ns);
-                timing.transpose.record(transpose_ns);
-            }
-            if let Some(t) = tracer {
-                // Truthful per-block stage events from the stamps above; one
-                // sample→transpose pair per 64-lane block.
-                t.complete(
-                    "ler.frames.sample",
-                    "ler.stage",
-                    t0,
-                    sample_ns,
-                    &[("lanes", lanes as u64)],
-                );
-                t.complete("ler.frames.transpose", "ler.stage", t1, transpose_ns, &[]);
-            }
-        } else {
-            sampler.sample_frames(lanes, &mut det_frames, &mut obs_frames);
-            det_shots.extend(transpose_lane_words(&det_frames, lanes));
-            obs_shots.extend(transpose_lane_words(&obs_frames, lanes));
-        }
+        let mut span = spans.sample.start();
+        span.arg("lanes", lanes as u64);
+        sampler.sample_frames(lanes, &mut det_frames, &mut obs_frames);
+        span.finish();
+        let span = spans.transpose.start();
+        det_shots.extend(transpose_lane_words(&det_frames, lanes));
+        obs_shots.extend(transpose_lane_words(&obs_frames, lanes));
+        span.finish();
         remaining -= lanes;
     }
-    let (predictions, decode) = if timing.is_some() || tracer.is_some() {
-        // lint: allow(no-wall-clock) — timing seam (same stage outputs).
-        let t2 = Instant::now();
-        let result = decode_shots_cached(decoder, &det_shots, cache);
-        let decode_ns = duration_ns(t2.elapsed());
-        if let Some(timing) = &timing {
-            timing.decode.record(decode_ns);
-        }
-        if let Some(t) = tracer {
-            // One chunk-wide decode block: the cache works across lane
-            // blocks, so decode is no longer a per-block stage.
-            t.complete("ler.frames.decode", "ler.stage", t2, decode_ns, &[]);
-        }
-        result
-    } else {
-        decode_shots_cached(decoder, &det_shots, cache)
-    };
-    for (prediction, observed) in predictions.iter().zip(&obs_shots) {
-        if prediction != observed {
-            failures += 1;
-        }
-    }
-    if let Some(mut span) = chunk_trace {
-        span.arg("shots", shots as u64);
-        span.arg("failures", failures as u64);
-        span.finish();
-    }
-    ChunkResult {
-        estimate: LogicalErrorEstimate { shots, failures },
-        decode,
-    }
+    let span = spans.decode.start();
+    let (predictions, decode) = decode_shots_cached(decoder, &det_shots, cache);
+    span.finish();
+    let failures = predictions
+        .iter()
+        .zip(&obs_shots)
+        .filter(|(prediction, observed)| prediction != observed)
+        .count();
+    chunk_span.arg("shots", shots as u64);
+    chunk_span.arg("failures", failures as u64);
+    (LogicalErrorEstimate { shots, failures }, decode)
 }
 
 #[cfg(test)]
@@ -732,12 +477,24 @@ mod tests {
         assert!(expected.is_finite() && expected > 0.0);
     }
 
+    /// A fixed-budget estimate with no observer.
+    fn fixed(
+        dem: &DetectorErrorModel,
+        decoder: &dyn Decoder,
+        shots: usize,
+        seed: u64,
+        runtime: &Runtime,
+    ) -> LogicalErrorEstimate {
+        let options = LerOptions::fixed(shots, seed);
+        estimate_logical_error_rate(dem, decoder, options, runtime, &mut |_| {}).0
+    }
+
     #[test]
     fn multithreaded_estimate_matches_shot_count_and_is_reasonable() {
         let dem = surface_dem(3, 3e-3, 3);
         let decoder = BpOsdDecoder::new(&dem);
         let runtime = Runtime::new(RuntimeConfig::new(4, 64, 0));
-        let estimate = estimate_logical_error_rate(&dem, &decoder, 400, 7, &runtime);
+        let estimate = fixed(&dem, &decoder, 400, 7, &runtime);
         assert_eq!(estimate.shots, 400);
         // d=3 at p = 0.3% should fail well below 10% of shots.
         assert!(estimate.rate() < 0.1, "rate {}", estimate.rate());
@@ -750,8 +507,8 @@ mod tests {
         let dec_low = BpOsdDecoder::new(&low);
         let dec_high = BpOsdDecoder::new(&high);
         let runtime = Runtime::new(RuntimeConfig::new(2, 64, 0));
-        let e_low = estimate_logical_error_rate(&low, &dec_low, 300, 13, &runtime);
-        let e_high = estimate_logical_error_rate(&high, &dec_high, 300, 13, &runtime);
+        let e_low = fixed(&low, &dec_low, 300, 13, &runtime);
+        let e_high = fixed(&high, &dec_high, 300, 13, &runtime);
         assert!(e_high.failures > e_low.failures);
     }
 
@@ -759,24 +516,15 @@ mod tests {
     fn failure_counts_are_identical_across_thread_counts() {
         let dem = surface_dem(3, 8e-3, 3);
         let decoder = BpOsdDecoder::new(&dem);
-        let reference = estimate_logical_error_rate(
-            &dem,
-            &decoder,
-            500,
-            42,
-            &Runtime::new(RuntimeConfig::new(1, 64, 0)),
-        );
+        let run = |threads| {
+            let runtime = Runtime::new(RuntimeConfig::new(threads, 64, 0));
+            fixed(&dem, &decoder, 500, 42, &runtime)
+        };
+        let reference = run(1);
+        assert_eq!(reference.shots, 500);
         assert!(reference.failures > 0, "want a nonzero count to compare");
         for threads in [2, 8] {
-            let estimate = estimate_logical_error_rate(
-                &dem,
-                &decoder,
-                500,
-                42,
-                &Runtime::new(RuntimeConfig::new(threads, 64, 0)),
-            );
-            assert_eq!(estimate.failures, reference.failures, "threads = {threads}");
-            assert_eq!(estimate.shots, reference.shots);
+            assert_eq!(run(threads), reference, "threads = {threads}");
         }
     }
 
@@ -785,11 +533,10 @@ mod tests {
         let dem = surface_dem(3, 8e-3, 2);
         let decoder = BpOsdDecoder::new(&dem);
         let runtime = Runtime::new(RuntimeConfig::new(2, 64, 0));
-        let (est, stop) = estimate_with_budget(
+        let (est, stop) = estimate_logical_error_rate(
             &dem,
             &decoder,
-            ShotBudget::fixed(0),
-            1,
+            LerOptions::fixed(0, 1),
             &runtime,
             &mut |_| panic!("no chunks expected"),
         );
@@ -804,11 +551,10 @@ mod tests {
         let runtime = Runtime::new(RuntimeConfig::new(4, 32, 0));
         // Reference: a fixed run, recording the cumulative tally after each chunk.
         let mut prefix = Vec::new();
-        let (full, stop) = estimate_with_budget(
+        let (full, stop) = estimate_logical_error_rate(
             &dem,
             &decoder,
-            ShotBudget::fixed(960),
-            5,
+            LerOptions::fixed(960, 5),
             &runtime,
             &mut |p| prefix.push(p),
         );
@@ -820,14 +566,14 @@ mod tests {
             .iter()
             .find(|p| p.failures >= max_failures)
             .expect("threshold below the total must be crossed");
-        let (adaptive, stop) = estimate_with_budget(
+        let budget = ShotBudget::MaxFailures {
+            max_failures,
+            max_shots: 960,
+        };
+        let (adaptive, stop) = estimate_logical_error_rate(
             &dem,
             &decoder,
-            ShotBudget::MaxFailures {
-                max_failures,
-                max_shots: 960,
-            },
-            5,
+            LerOptions::new(budget, 5),
             &runtime,
             &mut |_| {},
         );
@@ -842,33 +588,24 @@ mod tests {
         let dem = surface_dem(3, 1e-3, 2);
         let decoder = BpOsdDecoder::new(&dem);
         let runtime = Runtime::new(RuntimeConfig::new(2, 64, 0));
-        let (est, stop) = estimate_with_budget(
-            &dem,
-            &decoder,
+        // An unreachable failure target, then an unreachable RSE target: both
+        // run to the cap.
+        for budget in [
             ShotBudget::MaxFailures {
                 max_failures: usize::MAX,
                 max_shots: 128,
             },
-            3,
-            &runtime,
-            &mut |_| {},
-        );
-        assert_eq!(stop, LerStopReason::ShotsExhausted);
-        assert_eq!(est.shots, 128);
-        // An unreachable RSE target also runs to the cap.
-        let (est, stop) = estimate_with_budget(
-            &dem,
-            &decoder,
             ShotBudget::TargetRse {
                 target: 1e-9,
                 max_shots: 128,
             },
-            3,
-            &runtime,
-            &mut |_| {},
-        );
-        assert_eq!(stop, LerStopReason::ShotsExhausted);
-        assert_eq!(est.shots, 128);
+        ] {
+            let options = LerOptions::new(budget, 3);
+            let (est, stop) =
+                estimate_logical_error_rate(&dem, &decoder, options, &runtime, &mut |_| {});
+            assert_eq!(stop, LerStopReason::ShotsExhausted);
+            assert_eq!(est.shots, 128);
+        }
     }
 
     #[test]
@@ -880,7 +617,9 @@ mod tests {
             target: 0.5,
             max_shots: 100_000,
         };
-        let (est, stop) = estimate_with_budget(&dem, &decoder, budget, 9, &runtime, &mut |_| {});
+        let options = LerOptions::new(budget, 9);
+        let (est, stop) =
+            estimate_logical_error_rate(&dem, &decoder, options, &runtime, &mut |_| {});
         assert_eq!(stop, LerStopReason::TargetRseReached);
         assert!(est.relative_standard_error() <= 0.5);
         assert!(est.shots < 100_000, "must stop well before the cap");
@@ -890,38 +629,22 @@ mod tests {
     }
 
     #[test]
-    fn engine_names_round_trip_and_default_is_scalar() {
-        assert_eq!(Engine::default(), Engine::Scalar);
-        for engine in [Engine::Scalar, Engine::Frames] {
-            assert_eq!(Engine::parse(engine.as_str()), Some(engine));
-            assert_eq!(engine.as_str().parse::<Engine>(), Ok(engine));
-            assert_eq!(engine.to_string(), engine.as_str());
-        }
-        assert_eq!(Engine::parse("vectorized"), None);
-        assert!("vectorized".parse::<Engine>().is_err());
-    }
-
-    #[test]
     fn frame_engine_failure_counts_are_identical_across_thread_counts() {
+        // The decode cache is a pure fast path: with it on or off, at any
+        // thread count, the counts are the same.
         let dem = surface_dem(3, 8e-3, 3);
         let decoder = BpOsdDecoder::new(&dem);
-        let run = |threads| {
-            estimate_with_budget_engine(
-                &dem,
-                &decoder,
-                ShotBudget::fixed(500),
-                42,
-                Engine::Frames,
-                &Runtime::new(RuntimeConfig::new(threads, 64, 0)),
-                &mut |_| {},
-            )
-            .0
+        let run = |threads, cache| {
+            let options = LerOptions::fixed(500, 42).with_cache(cache);
+            let runtime = Runtime::new(RuntimeConfig::new(threads, 64, 0));
+            estimate_logical_error_rate(&dem, &decoder, options, &runtime, &mut |_| {}).0
         };
-        let reference = run(1);
-        assert_eq!(reference.shots, 500);
+        let reference = run(1, DecodeCache::On);
         assert!(reference.failures > 0, "want a nonzero count to compare");
-        for threads in [2, 8] {
-            assert_eq!(run(threads), reference, "threads = {threads}");
+        for threads in [1, 2, 8] {
+            for cache in [DecodeCache::On, DecodeCache::Off] {
+                assert_eq!(run(threads, cache), reference, "{threads} threads, {cache}");
+            }
         }
     }
 
@@ -932,12 +655,10 @@ mod tests {
         let dem = surface_dem(3, 2e-2, 3);
         let decoder = BpOsdDecoder::new(&dem);
         let runtime = Runtime::new(RuntimeConfig::new(2, 64, 0));
-        let (est, stop) = estimate_with_budget_engine(
+        let (est, stop) = estimate_logical_error_rate(
             &dem,
             &decoder,
-            ShotBudget::fixed(150),
-            11,
-            Engine::Frames,
+            LerOptions::fixed(150, 11),
             &runtime,
             &mut |_| {},
         );
@@ -948,71 +669,43 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_estimate_comparable_rates_on_the_same_model() {
-        // Different RNG stream layouts mean the counts differ, but both engines
-        // sample the same distribution: at p = 2% on d3 their rates must agree
-        // within generous Monte-Carlo error.
-        let dem = surface_dem(3, 2e-2, 3);
-        let decoder = BpOsdDecoder::new(&dem);
-        let runtime = Runtime::new(RuntimeConfig::new(4, 64, 0));
-        let run = |engine| {
-            estimate_with_budget_engine(
-                &dem,
-                &decoder,
-                ShotBudget::fixed(2000),
-                21,
-                engine,
-                &runtime,
-                &mut |_| {},
-            )
-            .0
-        };
-        let scalar = run(Engine::Scalar);
-        let frames = run(Engine::Frames);
-        assert_eq!(scalar.shots, frames.shots);
-        let tolerance = 5.0 * (scalar.standard_error() + frames.standard_error());
-        assert!(
-            (scalar.rate() - frames.rate()).abs() <= tolerance,
-            "scalar {} vs frames {} (tolerance {tolerance})",
-            scalar.rate(),
-            frames.rate(),
-        );
-    }
-
-    #[test]
     fn frame_engine_adaptive_stop_matches_its_own_fixed_chunk_prefix() {
+        // The RSE rule stops at the first chunk of the fixed run whose
+        // cumulative tally meets the target.
         let dem = surface_dem(3, 2e-2, 3);
         let decoder = BpOsdDecoder::new(&dem);
         let runtime = Runtime::new(RuntimeConfig::new(4, 32, 0));
         let mut prefix = Vec::new();
-        let (full, _) = estimate_with_budget_engine(
+        estimate_logical_error_rate(
             &dem,
             &decoder,
-            ShotBudget::fixed(960),
-            5,
-            Engine::Frames,
+            LerOptions::fixed(960, 5),
             &runtime,
             &mut |p| prefix.push(p),
         );
-        assert!(full.failures >= 8, "need failures, got {}", full.failures);
-        let max_failures = full.failures / 2;
+        let target = 0.4;
         let expected = prefix
             .iter()
-            .find(|p| p.failures >= max_failures)
-            .expect("threshold below the total must be crossed");
-        let (adaptive, stop) = estimate_with_budget_engine(
+            .find(|p| {
+                let e = LogicalErrorEstimate {
+                    shots: p.shots,
+                    failures: p.failures,
+                };
+                e.failures > 0 && e.relative_standard_error() <= target
+            })
+            .expect("the fixed run must reach the target");
+        let budget = ShotBudget::TargetRse {
+            target,
+            max_shots: 960,
+        };
+        let (adaptive, stop) = estimate_logical_error_rate(
             &dem,
             &decoder,
-            ShotBudget::MaxFailures {
-                max_failures,
-                max_shots: 960,
-            },
-            5,
-            Engine::Frames,
+            LerOptions::new(budget, 5),
             &runtime,
             &mut |_| {},
         );
-        assert_eq!(stop, LerStopReason::MaxFailuresReached);
+        assert_eq!(stop, LerStopReason::TargetRseReached);
         assert_eq!(adaptive.shots, expected.shots);
         assert_eq!(adaptive.failures, expected.failures);
     }
@@ -1039,6 +732,9 @@ mod tests {
         assert_eq!(LerStopReason::ShotsExhausted.as_str(), "shots_exhausted");
         assert_eq!(LerStopReason::MaxFailuresReached.as_str(), "max_failures");
         assert_eq!(LerStopReason::TargetRseReached.as_str(), "target_rse");
+        let options = LerOptions::fixed(10, 3);
+        assert_eq!(options.cache, DecodeCache::On);
+        assert_eq!(options.with_cache(DecodeCache::Off).seed, 3);
     }
 
     #[test]
@@ -1048,60 +744,44 @@ mod tests {
         // An early-stopping budget: waves overshoot the stop point at high
         // thread counts, which is exactly the case the counter contract has
         // to survive.
-        let budget = ShotBudget::MaxFailures {
-            max_failures: 4,
-            max_shots: 2048,
-        };
-        for engine in [Engine::Scalar, Engine::Frames] {
-            let mut reference = None;
-            for threads in [1, 2, 8] {
-                let obs = Obs::enabled();
-                let runtime = Runtime::with_obs(RuntimeConfig::new(threads, 16, 0), obs.clone());
-                let (estimate, _) = estimate_with_budget_engine(
-                    &dem,
-                    &decoder,
-                    budget,
-                    5,
-                    engine,
-                    &runtime,
-                    &mut |_| {},
+        let options = LerOptions::new(
+            ShotBudget::MaxFailures {
+                max_failures: 4,
+                max_shots: 2048,
+            },
+            5,
+        );
+        let mut reference = None;
+        for threads in [1, 2, 8] {
+            let obs = Obs::enabled();
+            let runtime = Runtime::with_obs(RuntimeConfig::new(threads, 16, 0), obs.clone());
+            let (estimate, _) =
+                estimate_logical_error_rate(&dem, &decoder, options, &runtime, &mut |_| {});
+            let snap = obs.snapshot().unwrap();
+            assert_eq!(snap.counter("ler.shots"), estimate.shots as u64);
+            assert_eq!(snap.counter("ler.failures"), estimate.failures as u64);
+            assert!(snap.counter("ler.chunks") > 0);
+            let counters = snap.counters.clone();
+            match &reference {
+                None => reference = Some(counters),
+                Some(r) => assert_eq!(&counters, r, "{threads} threads"),
+            }
+            for stage in [
+                "ler.chunk.ns",
+                "ler.frames.sample.ns",
+                "ler.frames.transpose.ns",
+                "ler.frames.decode.ns",
+            ] {
+                assert!(
+                    snap.histogram(stage).is_some_and(|h| h.count > 0),
+                    "{stage} empty"
                 );
-                let snap = obs.snapshot().unwrap();
-                assert_eq!(snap.counter("ler.shots"), estimate.shots as u64);
-                assert_eq!(snap.counter("ler.failures"), estimate.failures as u64);
-                assert!(snap.counter("ler.chunks") > 0);
-                let counters = snap.counters.clone();
-                match &reference {
-                    None => reference = Some(counters),
-                    Some(r) => assert_eq!(&counters, r, "{engine:?} at {threads} threads"),
-                }
-                let stages: &[&str] = match engine {
-                    Engine::Scalar => &["ler.scalar.sample.ns", "ler.scalar.decode.ns"],
-                    Engine::Frames => &[
-                        "ler.frames.sample.ns",
-                        "ler.frames.transpose.ns",
-                        "ler.frames.decode.ns",
-                    ],
-                };
-                for stage in stages {
-                    assert!(
-                        snap.histogram(stage).is_some_and(|h| h.count > 0),
-                        "{stage} empty"
-                    );
-                }
             }
         }
         // A plain runtime records nothing and returns the same estimate.
         let plain = Runtime::new(RuntimeConfig::new(2, 16, 0));
-        let (estimate, _) = estimate_with_budget_engine(
-            &dem,
-            &decoder,
-            budget,
-            5,
-            Engine::Scalar,
-            &plain,
-            &mut |_| {},
-        );
+        let (estimate, _) =
+            estimate_logical_error_rate(&dem, &decoder, options, &plain, &mut |_| {});
         assert!(estimate.shots > 0);
     }
 
@@ -1109,51 +789,35 @@ mod tests {
     fn tracing_records_stage_events_without_changing_estimates() {
         let dem = surface_dem(3, 0.02, 2);
         let decoder = BpOsdDecoder::new(&dem);
-        let budget = ShotBudget::fixed(200);
-        for engine in [Engine::Scalar, Engine::Frames] {
-            let plain = Runtime::new(RuntimeConfig::new(2, 16, 0));
-            let (baseline, _) =
-                estimate_with_budget_engine(&dem, &decoder, budget, 7, engine, &plain, &mut |_| {});
-            // Tracer-only Obs: no registry, so histograms stay off and the
-            // trace path has to carry the instrumented branch alone.
-            let tracer = prophunt_obs::Tracer::new();
-            let obs = Obs::disabled().with_tracer(tracer.clone());
-            let traced = Runtime::with_obs(RuntimeConfig::new(2, 16, 0), obs);
-            let (estimate, _) = estimate_with_budget_engine(
-                &dem,
-                &decoder,
-                budget,
-                7,
-                engine,
-                &traced,
-                &mut |_| {},
-            );
-            assert_eq!(estimate, baseline, "{engine:?}: tracing changed the result");
-            let log = tracer.drain();
-            let chunk_spans = log.events.iter().filter(|e| e.name == "ler.chunk").count();
-            assert!(chunk_spans > 0, "{engine:?}: no ler.chunk spans");
-            let stages: &[&str] = match engine {
-                Engine::Scalar => &["ler.scalar.sample", "ler.scalar.decode"],
-                Engine::Frames => &[
-                    "ler.frames.sample",
-                    "ler.frames.transpose",
-                    "ler.frames.decode",
-                ],
-            };
-            for stage in stages {
-                let n = log.events.iter().filter(|e| e.name == *stage).count();
-                assert!(n > 0, "{engine:?}: no {stage} events");
-            }
-            // Stage events nest under their chunk span on the same lane.
-            let chunk_ids: std::collections::HashSet<u64> = log
-                .events
-                .iter()
-                .filter(|e| e.name == "ler.chunk")
-                .map(|e| e.id)
-                .collect();
-            for e in log.events.iter().filter(|e| e.cat == "ler.stage") {
-                assert!(chunk_ids.contains(&e.parent), "stage event orphaned");
-            }
+        let plain = Runtime::new(RuntimeConfig::new(2, 16, 0));
+        let baseline = fixed(&dem, &decoder, 200, 7, &plain);
+        // Tracer-only Obs: no registry, so histograms stay off and the trace
+        // path has to carry the instrumented branch alone.
+        let tracer = prophunt_obs::Tracer::new();
+        let obs = Obs::disabled().with_tracer(tracer.clone());
+        let traced = Runtime::with_obs(RuntimeConfig::new(2, 16, 0), obs);
+        let estimate = fixed(&dem, &decoder, 200, 7, &traced);
+        assert_eq!(estimate, baseline, "tracing changed the result");
+        let log = tracer.drain();
+        let chunk_spans = log.events.iter().filter(|e| e.name == "ler.chunk").count();
+        assert!(chunk_spans > 0, "no ler.chunk spans");
+        for stage in [
+            "ler.frames.sample",
+            "ler.frames.transpose",
+            "ler.frames.decode",
+        ] {
+            let n = log.events.iter().filter(|e| e.name == stage).count();
+            assert!(n > 0, "no {stage} events");
+        }
+        // Stage events nest under their chunk span on the same lane.
+        let chunk_ids: std::collections::HashSet<u64> = log
+            .events
+            .iter()
+            .filter(|e| e.name == "ler.chunk")
+            .map(|e| e.id)
+            .collect();
+        for e in log.events.iter().filter(|e| e.cat == "ler.stage") {
+            assert!(chunk_ids.contains(&e.parent), "stage event orphaned");
         }
     }
 }

@@ -11,8 +11,9 @@
 //!   error models (each error mechanism flips at most two detectors after restriction),
 //!   used as a faster alternative on surface codes and as an ablation point.
 //! * [`estimate_logical_error_rate`] — the Monte-Carlo harness: sample a
-//!   [`DemSampler`](prophunt_circuit::DemSampler), decode, and count logical failures,
-//!   optionally across threads.
+//!   [`DemSampler`](prophunt_circuit::DemSampler) 64 shots per word, batch-decode,
+//!   and count logical failures, optionally across threads and with adaptive
+//!   [`ShotBudget`]s.
 //!
 //! # Example
 //!
@@ -20,7 +21,7 @@
 //! use prophunt_qec::surface::rotated_surface_code_with_layout;
 //! use prophunt_circuit::{MemoryBasis, MemoryExperiment, NoiseModel, DetectorErrorModel};
 //! use prophunt_circuit::schedule::ScheduleSpec;
-//! use prophunt_decoders::{BpOsdDecoder, estimate_logical_error_rate, Decoder};
+//! use prophunt_decoders::{BpOsdDecoder, estimate_logical_error_rate, Decoder, LerOptions};
 //! use prophunt_runtime::{Runtime, RuntimeConfig};
 //!
 //! let (code, layout) = rotated_surface_code_with_layout(3);
@@ -29,7 +30,8 @@
 //! let dem = DetectorErrorModel::from_experiment(&exp, &NoiseModel::uniform_depolarizing(1e-3));
 //! let decoder = BpOsdDecoder::new(&dem);
 //! let runtime = Runtime::new(RuntimeConfig::single_threaded(0));
-//! let estimate = estimate_logical_error_rate(&dem, &decoder, 200, 0xfeed, &runtime);
+//! let options = LerOptions::fixed(200, 0xfeed);
+//! let (estimate, _) = estimate_logical_error_rate(&dem, &decoder, options, &runtime, &mut |_| {});
 //! assert!(estimate.rate() < 0.2);
 //! ```
 
@@ -44,8 +46,7 @@ pub mod unionfind;
 pub use batch::{decode_shots_cached, DecodeCache, DecodeStats};
 pub use bposd::BpOsdDecoder;
 pub use ler::{
-    estimate_logical_error_rate, estimate_with_budget, estimate_with_budget_engine,
-    estimate_with_budget_engine_cached, ChunkProgress, Engine, LerStopReason, LogicalErrorEstimate,
+    estimate_logical_error_rate, ChunkProgress, LerOptions, LerStopReason, LogicalErrorEstimate,
     ShotBudget,
 };
 pub use unionfind::UnionFindDecoder;
@@ -82,7 +83,7 @@ pub trait Decoder: Send + Sync {
     /// implementation simply loops [`Decoder::decode`]; decoders with
     /// per-call scratch ([`BpOsdDecoder`], [`UnionFindDecoder`]) override it
     /// to build the scratch once and reuse it across the batch, which is where
-    /// the frame engine's batch-decoding speedup comes from.
+    /// the LER kernel's batch-decoding speedup comes from.
     fn decode_batch(&self, shots: &[BitVec]) -> Vec<BitVec> {
         shots.iter().map(|s| self.decode(s)).collect()
     }

@@ -95,8 +95,9 @@ pub enum ReportRecord {
     /// defaults them (`"bposd"`, `""`, `"shots_exhausted"`, `0`, `0`) when reading
     /// v1 documents, which predate pluggable decoders and adaptive budgets. The
     /// `engine` field was added the same way (additive, no version bump): the
-    /// writer always emits it, and the parser defaults it to `"scalar"` for v1/v2
-    /// records, which were all computed by the scalar kernel.
+    /// writer always emits it (`"frames"` for every new run), and the parser
+    /// defaults it to `"scalar"` for v1/v2 records, which were all computed by
+    /// the since-removed scalar kernel.
     Ler {
         /// Free-form label (schedule name, hardware point, ...).
         label: String,
@@ -119,9 +120,9 @@ pub enum ReportRecord {
         noise: String,
         /// Why the run stopped (`shots_exhausted`, `max_failures`, `target_rse`).
         stop: String,
-        /// Estimation engine the counts were computed with (`scalar` or
-        /// `frames`); part of the reproduction key, since the two engines lay
-        /// out the RNG stream differently.
+        /// Estimation engine the counts were computed with: `frames` for new
+        /// runs, `scalar` on older records. Part of the reproduction key, since
+        /// the removed scalar engine laid out the RNG stream differently.
         engine: String,
         /// Wall-clock seconds the job took (0 when not measured).
         wall_s: f64,
@@ -201,8 +202,9 @@ pub enum ReportRecord {
         threads: u64,
         /// Deterministic chunk size of the run (0 if unknown).
         chunk_size: u64,
-        /// Estimation engine of the run (`"scalar"`/`"frames"`; empty for
-        /// commands without one, e.g. `search`).
+        /// Estimation engine of the run (`"frames"` when written; older
+        /// streams may carry `"scalar"`; empty for commands without one, e.g.
+        /// `search`).
         engine: String,
         /// Invoking command line, space-joined (empty if unknown). Additive
         /// field: the writer omits the key when empty, and the parser defaults
@@ -411,8 +413,9 @@ impl ReportRecord {
     /// deriving per-stage seeds must record the derived seed, not the base one.
     ///
     /// The v2 fields are filled with their v1-compatible defaults (a `bposd` fixed
-    /// budget run, no timing); set them on the returned variant — or build the
-    /// variant directly — for jobs that know their decoder/noise/stop/timing.
+    /// budget run, no timing) and the engine with `frames`, the only one; set
+    /// them on the returned variant — or build the variant directly — for jobs
+    /// that know their decoder/noise/stop/timing.
     pub fn ler(
         label: impl Into<String>,
         p: f64,
@@ -433,7 +436,7 @@ impl ReportRecord {
             decoder: "bposd".into(),
             noise: String::new(),
             stop: "shots_exhausted".into(),
-            engine: "scalar".into(),
+            engine: "frames".into(),
             wall_s: 0.0,
             shots_per_sec: 0.0,
         }
@@ -1223,11 +1226,18 @@ mod tests {
         let record = ReportRecord::ler("l", 1e-3, 0.0, 10, 1, 2, 64);
         let reparsed = ReportRecord::from_json_line(&record.to_json_line()).unwrap();
         assert_eq!(reparsed, record);
-        let ReportRecord::Ler { decoder, stop, .. } = record else {
+        let ReportRecord::Ler {
+            decoder,
+            stop,
+            engine,
+            ..
+        } = record
+        else {
             panic!("expected a ler record");
         };
         assert_eq!(decoder, "bposd");
         assert_eq!(stop, "shots_exhausted");
+        assert_eq!(engine, "frames");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The crate provides a [`Registry`] of three typed instrument classes —
 //! monotonic [`Counter`]s, last/max [`Gauge`]s and log2-bucketed
 //! [`Histogram`]s — plus [`Span`] RAII timers that record their elapsed
-//! nanoseconds into a histogram on drop. Every instrument is a named
+//! nanoseconds into a `<name>.ns` histogram and, when a [`Tracer`] is
+//! attached, the matching trace span, on drop. Every instrument is a named
 //! `Arc<AtomicU64>`-backed cell: acquiring a handle takes a registry lock
 //! once, after which recording is a single relaxed atomic op, safe to share
 //! across the deterministic worker pool.
@@ -411,13 +412,6 @@ impl Obs {
         self.tracer.as_ref()
     }
 
-    /// Opens a trace span, or `None` when no tracer is attached. See
-    /// [`Tracer::span`].
-    #[must_use]
-    pub fn trace_span(&self, name: &str, cat: &str) -> Option<TraceSpan> {
-        self.tracer.as_ref().map(|t| t.span(name, cat))
-    }
-
     /// The attached registry, if any.
     #[must_use]
     pub fn registry(&self) -> Option<&Arc<Registry>> {
@@ -470,15 +464,31 @@ impl Obs {
         }
     }
 
-    /// Starts an RAII span timer recording into the named histogram (in
-    /// nanoseconds) when it drops or [`Span::finish`]es. The span measures
-    /// wall time even when disabled — [`Span::finish`] still returns the
-    /// elapsed duration — but records nothing.
+    /// Opens a [`Span`] named `name`: it records its elapsed nanoseconds into
+    /// the `<name>.ns` histogram and, when a tracer is attached, one trace
+    /// span `name` in category `cat` (parented to the thread's innermost open
+    /// span). The span measures wall time even when both planes are off —
+    /// [`Span::finish`] still returns the elapsed duration — but records
+    /// nothing.
     #[must_use]
-    pub fn span(&self, name: &str) -> Span {
-        Span {
-            hist: self.histogram(name),
-            start: Instant::now(),
+    pub fn span(&self, name: &str, cat: &str) -> Span {
+        let mut span = self.span_site(name, cat).start();
+        span.start.get_or_insert_with(Instant::now);
+        span
+    }
+
+    /// Resolves a [`SpanSite`] once — the `<name>.ns` histogram handle and the
+    /// tracer — so hot loops open spans without a registry lookup each time.
+    #[must_use]
+    pub fn span_site(&self, name: &str, cat: &str) -> SpanSite {
+        SpanSite {
+            name: name.to_string(),
+            cat: cat.to_string(),
+            hist: self
+                .registry
+                .as_ref()
+                .map(|r| r.histogram(&format!("{name}.ns"))),
+            tracer: self.tracer.clone(),
         }
     }
 
@@ -489,28 +499,99 @@ impl Obs {
     }
 }
 
-/// RAII timer from [`Obs::span`]: records its elapsed nanoseconds into a
-/// histogram exactly once, on [`Span::finish`] or on drop.
+/// A hoisted span site from [`Obs::span_site`]: cloneable and shareable
+/// across the worker pool, it opens [`Span`]s that record into one histogram
+/// and trace name.
+#[derive(Debug, Clone)]
+pub struct SpanSite {
+    name: String,
+    cat: String,
+    hist: Option<Histogram>,
+    tracer: Option<Tracer>,
+}
+
+impl SpanSite {
+    /// Whether a span from this site records anything (a registry or a
+    /// tracer is attached).
+    #[must_use]
+    pub fn is_enabled(&self) -> bool {
+        self.hist.is_some() || self.tracer.is_some()
+    }
+
+    /// Opens a span parented to the thread's innermost open trace span. When
+    /// the site is disabled the span is inert: it reads no clock and
+    /// [`Span::finish`] returns [`Duration::ZERO`].
+    #[must_use]
+    pub fn start(&self) -> Span {
+        let trace = self.tracer.as_ref().map(|t| t.span(&self.name, &self.cat));
+        self.open(trace)
+    }
+
+    /// [`SpanSite::start`] with an explicit trace parent id (0 = none) — the
+    /// cross-thread form used to parent worker-side spans under a span opened
+    /// on the control thread.
+    #[must_use]
+    pub fn start_child_of(&self, parent: u64) -> Span {
+        let trace = self
+            .tracer
+            .as_ref()
+            .map(|t| t.span_child_of(&self.name, &self.cat, parent));
+        self.open(trace)
+    }
+
+    fn open(&self, trace: Option<TraceSpan>) -> Span {
+        let start = match &trace {
+            Some(t) => Some(t.start()),
+            None => self.hist.as_ref().map(|_| Instant::now()),
+        };
+        Span {
+            hist: self.hist.clone(),
+            trace,
+            start,
+        }
+    }
+}
+
+/// An open span from [`Obs::span`] or a [`SpanSite`]: records its elapsed
+/// nanoseconds into the `<name>.ns` histogram and its trace span (with any
+/// [`Span::arg`]s) exactly once, on [`Span::finish`] or on drop.
 #[derive(Debug)]
 pub struct Span {
     hist: Option<Histogram>,
-    start: Instant,
+    trace: Option<TraceSpan>,
+    start: Option<Instant>,
 }
 
 impl Span {
-    /// Elapsed wall time so far, without ending the span.
+    /// The trace span's id (0 without a tracer), for parenting children on
+    /// other threads via [`SpanSite::start_child_of`].
+    #[must_use]
+    pub fn id(&self) -> u64 {
+        self.trace.as_ref().map_or(0, TraceSpan::id)
+    }
+
+    /// Attaches a named `u64` argument to the trace span (no-op without a
+    /// tracer).
+    pub fn arg(&mut self, key: &str, value: u64) {
+        if let Some(t) = &mut self.trace {
+            t.arg(key, value);
+        }
+    }
+
+    /// Elapsed wall time so far, without ending the span ([`Duration::ZERO`]
+    /// for an inert span).
     #[must_use]
     pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
+        self.start.map_or(Duration::ZERO, |s| s.elapsed())
     }
 
     /// Ends the span, records it, and returns the elapsed wall time.
     ///
-    /// The return value is measured even when the parent [`Obs`] is disabled,
-    /// so callers can use one code path for both report timing fields and
-    /// histogram export.
+    /// A span from [`Obs::span`] is measured even when the parent [`Obs`] is
+    /// disabled, so callers can use one code path for both report timing
+    /// fields and histogram export.
     pub fn finish(mut self) -> Duration {
-        let elapsed = self.start.elapsed();
+        let elapsed = self.elapsed();
         if let Some(h) = self.hist.take() {
             h.record(duration_ns(elapsed));
         }
@@ -521,7 +602,7 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(h) = self.hist.take() {
-            h.record(duration_ns(self.start.elapsed()));
+            h.record(duration_ns(self.elapsed()));
         }
     }
 }
@@ -625,7 +706,7 @@ mod tests {
         obs.record("never.ns", 1);
         assert!(obs.counter("never").is_none());
         assert!(obs.snapshot().is_none());
-        let span = obs.span("never.ns");
+        let span = obs.span("never", "test");
         let wall = span.finish();
         assert!(wall.as_nanos() > 0 || wall.is_zero());
     }
@@ -633,9 +714,9 @@ mod tests {
     #[test]
     fn spans_record_once_on_finish_or_drop() {
         let obs = Obs::enabled();
-        let wall = obs.span("work.ns").finish();
+        let wall = obs.span("work", "test").finish();
         {
-            let _guard = obs.span("work.ns");
+            let _guard = obs.span("work", "test");
         }
         let snap = obs.snapshot().unwrap();
         let hs = snap.histogram("work.ns").unwrap();
@@ -644,22 +725,65 @@ mod tests {
     }
 
     #[test]
+    fn one_span_records_its_histogram_and_its_trace_span() {
+        let tracer = Tracer::new();
+        let obs = Obs::enabled().with_tracer(tracer.clone());
+        {
+            let mut job = obs.span("job.x", "job");
+            job.arg("n", 3);
+            assert!(job.id() > 0);
+        }
+        let outer = obs.span("outer", "test");
+        let site = obs.span_site("stage", "test.stage");
+        assert!(site.is_enabled());
+        let wall = site.start_child_of(outer.id()).finish();
+        let outer_id = outer.id();
+        drop(outer);
+        let snap = obs.snapshot().unwrap();
+        assert_eq!(snap.histogram("job.x.ns").unwrap().count, 1);
+        assert_eq!(snap.histogram("stage.ns").unwrap().count, 1);
+        assert_eq!(snap.histogram("stage.ns").unwrap().sum, duration_ns(wall));
+        let log = tracer.drain();
+        let event = |name: &str| log.events.iter().find(|e| e.name == name).unwrap();
+        assert_eq!(event("job.x").cat, "job");
+        assert_eq!(event("job.x").args, vec![("n".to_string(), 3)]);
+        assert_eq!(event("stage").parent, outer_id);
+        // Tracer only: the trace span records, no histogram exists to.
+        let traced = Obs::disabled().with_tracer(Tracer::new());
+        traced.span_site("t", "test").start().finish();
+        assert_eq!(traced.tracer().unwrap().drain().events.len(), 1);
+    }
+
+    #[test]
+    fn a_disabled_span_site_is_inert() {
+        let site = Obs::disabled().span_site("never", "test");
+        assert!(!site.is_enabled());
+        let mut span = site.start();
+        span.arg("ignored", 1);
+        assert_eq!(span.id(), 0);
+        assert_eq!(span.elapsed(), Duration::ZERO);
+        assert_eq!(span.finish(), Duration::ZERO);
+    }
+
+    #[test]
     fn tracer_rides_the_obs_handle_and_composes_with_either_registry_state() {
         let plain = Obs::disabled();
         assert!(!plain.trace_enabled());
-        assert!(plain.trace_span("never", "test").is_none());
+        assert!(plain.tracer().is_none());
         let traced = Obs::disabled().with_tracer(Tracer::new());
         assert!(traced.trace_enabled() && !traced.is_enabled());
         let clone = traced.clone();
-        clone.trace_span("work", "test").unwrap().finish();
+        clone.span("work", "test").finish();
         let log = traced.tracer().unwrap().drain();
         assert_eq!(log.events.len(), 1);
         assert_eq!(log.events[0].name, "work");
         // Registry + tracer on one handle: both planes record.
         let both = Obs::enabled().with_tracer(Tracer::new());
         both.inc("jobs");
-        both.trace_span("job", "test").unwrap().finish();
-        assert_eq!(both.snapshot().unwrap().counter("jobs"), 1);
+        both.span("job", "test").finish();
+        let snap = both.snapshot().unwrap();
+        assert_eq!(snap.counter("jobs"), 1);
+        assert_eq!(snap.histogram("job.ns").unwrap().count, 1);
         assert_eq!(both.tracer().unwrap().drain().events.len(), 1);
     }
 

@@ -415,6 +415,11 @@ impl TraceSpan {
         self.args.push((key.to_string(), value));
     }
 
+    /// The instant the span opened.
+    pub(crate) fn start(&self) -> Instant {
+        self.start
+    }
+
     /// Elapsed wall time since the span opened.
     #[must_use]
     pub fn elapsed(&self) -> Duration {

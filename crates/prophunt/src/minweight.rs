@@ -127,8 +127,6 @@ pub fn global_min_weight_logical_error(
 /// Returns the model-size statistics (variables, hard clauses, soft clauses) of the
 /// subgraph formulation without solving it — used by the Table 2 harness.
 pub fn subgraph_model_size(subgraph: &AmbiguousSubgraph) -> (usize, usize, usize) {
-    let (solver, _) = build_model(&subgraph.h_sub, &subgraph.l_sub);
-    let _ = &solver;
     model_size_of(&subgraph.h_sub, &subgraph.l_sub)
 }
 

@@ -45,7 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use prophunt_obs::{duration_ns, Obs, TraceSpan};
+use prophunt_obs::{duration_ns, Obs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -240,61 +240,46 @@ impl Runtime {
         let workers = self.threads().min(tasks);
         // Pool metrics are strictly out-of-band: handles are hoisted here so
         // the disabled path costs one `None` check per task, and nothing below
-        // touches the seed streams.
-        let _call_span = self.obs.span("runtime.call.ns");
+        // touches the seed streams. Trace plumbing rides the same contract:
+        // one pool-call span on the control lane, one task span per task on
+        // its worker's lane (parented to the call span across threads),
+        // queue-wait and worker attribution as task-span args.
+        let mut call_span = self.obs.span("runtime.call", "runtime");
+        call_span.arg("tasks", tasks as u64);
+        call_span.arg("workers", workers as u64);
+        let call_id = call_span.id();
         let call_start = Instant::now();
         if let Some(h) = self.obs.histogram("runtime.call.tasks") {
             h.record(tasks as u64);
         }
         self.obs.gauge_max("runtime.workers.peak", workers as u64);
-        let task_hist = self.obs.histogram("runtime.task.ns");
+        let task_site = self.obs.span_site("runtime.task", "runtime");
         let wait_hist = self.obs.histogram("runtime.task.wait.ns");
-        // Trace plumbing rides the same out-of-band contract: one pool-call
-        // span on the control lane, one task span per task on its worker's
-        // lane (parented to the call span across threads), queue-wait and
-        // worker attribution as task-span args.
-        let tracer = self.obs.tracer().cloned();
-        let mut call_trace = tracer.as_ref().map(|t| {
-            let mut span = t.span("runtime.call", "runtime");
-            span.arg("tasks", tasks as u64);
-            span.arg("workers", workers as u64);
-            span
-        });
-        let call_id = call_trace.as_ref().map_or(0, TraceSpan::id);
         let timed = |worker: u64, task: usize| -> U {
-            if task_hist.is_none() && tracer.is_none() {
+            if !task_site.is_enabled() {
                 return f(task);
             }
             let wait_ns = duration_ns(call_start.elapsed());
             if let Some(wh) = &wait_hist {
                 wh.record(wait_ns);
             }
-            let task_trace = tracer.as_ref().map(|t| {
-                let mut span = t.span_child_of("runtime.task", "runtime", call_id);
-                span.arg("task", task as u64);
-                span.arg("worker", worker);
-                span.arg("wait_ns", wait_ns);
-                span
-            });
-            let started = Instant::now();
+            let mut span = task_site.start_child_of(call_id);
+            span.arg("task", task as u64);
+            span.arg("worker", worker);
+            span.arg("wait_ns", wait_ns);
             let out = f(task);
-            if let Some(th) = &task_hist {
-                th.record(duration_ns(started.elapsed()));
-            }
-            drop(task_trace);
+            span.finish();
             out
         };
         if workers <= 1 {
             let out = (0..tasks).map(|task| timed(0, task)).collect();
-            if let Some(span) = call_trace.take() {
-                span.finish();
-            }
+            call_span.finish();
             return out;
         }
         let next = AtomicUsize::new(0);
         let timed = &timed;
         let next = &next;
-        let tracer = &tracer;
+        let tracer = self.obs.tracer();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
@@ -302,7 +287,7 @@ impl Runtime {
                         // Lane `w + 1`: lane 0 stays the control thread. The
                         // guard's drop also flushes the worker's trace buffer
                         // before the scope joins.
-                        let _lane = tracer.as_ref().map(|t| t.worker_scope(w as u64 + 1));
+                        let _lane = tracer.map(|t| t.worker_scope(w as u64 + 1));
                         let mut local: Vec<(usize, U)> = Vec::new();
                         loop {
                             let task = next.fetch_add(1, Ordering::Relaxed);
@@ -321,9 +306,7 @@ impl Runtime {
             }
             indexed.sort_unstable_by_key(|(task, _)| *task);
             let out: Vec<U> = indexed.into_iter().map(|(_, value)| value).collect();
-            if let Some(span) = call_trace.take() {
-                span.finish();
-            }
+            call_span.finish();
             out
         })
     }

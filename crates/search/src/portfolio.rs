@@ -268,12 +268,8 @@ impl Portfolio {
             std::collections::HashSet::from([initial_fingerprint]);
         let mut rounds = Vec::with_capacity(self.config.rounds);
         for round in 0..self.config.rounds {
-            let _round_span = obs.span("search.round.ns");
-            let _round_trace = tracer.as_ref().map(|t| {
-                let mut span = t.span("search.round", "search");
-                span.arg("round", round as u64);
-                span
-            });
+            let mut round_span = obs.span("search.round", "search");
+            round_span.arg("round", round as u64);
             let round_seeds = root.substream(stream::ROUND).substream(round as u64);
             // One runtime task per instance; results return in instance order
             // whatever the completion order, so everything below is

@@ -10,8 +10,7 @@ use prophunt_suite::circuit::schedule::ScheduleSpec;
 use prophunt_suite::circuit::{DetectorErrorModel, MemoryBasis, MemoryExperiment, NoiseModel};
 use prophunt_suite::core::{OptimizationResult, PropHunt, PropHuntConfig};
 use prophunt_suite::decoders::{
-    estimate_logical_error_rate, estimate_with_budget, BpOsdDecoder, ChunkProgress, LerStopReason,
-    ShotBudget,
+    estimate_logical_error_rate, BpOsdDecoder, ChunkProgress, LerOptions, LerStopReason, ShotBudget,
 };
 use prophunt_suite::qec::surface::rotated_surface_code_with_layout;
 use prophunt_suite::runtime::{Runtime, RuntimeConfig};
@@ -76,7 +75,8 @@ fn ler_failure_counts_are_identical_across_thread_counts() {
     let decoder = BpOsdDecoder::new(&dem);
     let estimate = |threads: usize| {
         let runtime = Runtime::new(RuntimeConfig::new(threads, 64, 0));
-        estimate_logical_error_rate(&dem, &decoder, 600, 42, &runtime)
+        let options = LerOptions::fixed(600, 42);
+        estimate_logical_error_rate(&dem, &decoder, options, &runtime, &mut |_| {}).0
     };
     let reference = estimate(1);
     assert!(
@@ -105,11 +105,10 @@ fn adaptive_budgets_equal_the_fixed_run_chunk_prefix_at_any_thread_count() {
 
     // Reference: the fixed run's cumulative per-chunk tallies at 1 thread.
     let mut prefix: Vec<ChunkProgress> = Vec::new();
-    let (full, _) = estimate_with_budget(
+    let (full, _) = estimate_logical_error_rate(
         &dem,
         &decoder,
-        ShotBudget::fixed(max_shots),
-        seed,
+        LerOptions::fixed(max_shots, seed),
         &Runtime::new(RuntimeConfig::new(1, chunk_size, 0)),
         &mut |p| prefix.push(p),
     );
@@ -138,14 +137,14 @@ fn adaptive_budgets_equal_the_fixed_run_chunk_prefix_at_any_thread_count() {
     for threads in [1, 2, 8] {
         let runtime = Runtime::new(RuntimeConfig::new(threads, chunk_size, 0));
         let mut seen: Vec<ChunkProgress> = Vec::new();
-        let (estimate, stop) = estimate_with_budget(
+        let budget = ShotBudget::MaxFailures {
+            max_failures,
+            max_shots,
+        };
+        let (estimate, stop) = estimate_logical_error_rate(
             &dem,
             &decoder,
-            ShotBudget::MaxFailures {
-                max_failures,
-                max_shots,
-            },
-            seed,
+            LerOptions::new(budget, seed),
             &runtime,
             &mut |p| seen.push(p),
         );
@@ -156,11 +155,11 @@ fn adaptive_budgets_equal_the_fixed_run_chunk_prefix_at_any_thread_count() {
         // The observer stream is the exact chunk prefix, in order.
         assert_eq!(seen, prefix[..seen.len()], "threads {threads}");
 
-        let (estimate, stop) = estimate_with_budget(
+        let budget = ShotBudget::TargetRse { target, max_shots };
+        let (estimate, stop) = estimate_logical_error_rate(
             &dem,
             &decoder,
-            ShotBudget::TargetRse { target, max_shots },
-            seed,
+            LerOptions::new(budget, seed),
             &runtime,
             &mut |_| {},
         );
@@ -181,15 +180,18 @@ fn chunk_size_is_part_of_the_deterministic_contract() {
     let decoder = BpOsdDecoder::new(&dem);
     let estimate = |threads: usize, chunk: usize| {
         let runtime = Runtime::new(RuntimeConfig::new(threads, chunk, 0));
-        estimate_logical_error_rate(&dem, &decoder, 500, 9, &runtime).failures
+        let options = LerOptions::fixed(500, 9);
+        estimate_logical_error_rate(&dem, &decoder, options, &runtime, &mut |_| {})
+            .0
+            .failures
     };
     assert_eq!(estimate(1, 32), estimate(8, 32));
     assert_eq!(estimate(1, 17), estimate(4, 17));
 }
 
 /// Satellite of the bit-parallel frame engine: a `--engine frames` run is a
-/// pure function of `(seed, chunk_size, engine)` — the whole outcome (per-basis
-/// counts, stop reason, engine tag) is bit-identical at 1, 2 and 8 threads.
+/// pure function of `(seed, chunk_size)` — the whole outcome (per-basis
+/// counts, stop reason) is bit-identical at 1, 2 and 8 threads.
 #[test]
 fn frame_engine_outcomes_are_bit_identical_across_thread_counts() {
     use prophunt_suite::api::{Engine, ExperimentSpec, LerJob, Session, ShotBudget};
@@ -208,7 +210,6 @@ fn frame_engine_outcomes_are_bit_identical_across_thread_counts() {
             .unwrap()
     };
     let reference = run(1);
-    assert_eq!(reference.engine, Engine::Frames);
     assert_eq!(reference.combined.shots, 600);
     assert!(
         reference.combined.failures > 0,

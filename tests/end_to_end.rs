@@ -4,7 +4,9 @@
 use prophunt_suite::circuit::schedule::ScheduleSpec;
 use prophunt_suite::circuit::{DetectorErrorModel, MemoryBasis, MemoryExperiment, NoiseModel};
 use prophunt_suite::core::{PropHunt, PropHuntConfig};
-use prophunt_suite::decoders::{estimate_logical_error_rate, BpOsdDecoder, UnionFindDecoder};
+use prophunt_suite::decoders::{
+    estimate_logical_error_rate, BpOsdDecoder, LerOptions, UnionFindDecoder,
+};
 use prophunt_suite::qec::product::generalized_bicycle;
 use prophunt_suite::qec::surface::rotated_surface_code_with_layout;
 use prophunt_suite::qec::CssCode;
@@ -24,7 +26,14 @@ fn combined_ler(
         let dem = DetectorErrorModel::from_experiment(&exp, &NoiseModel::uniform_depolarizing(p));
         let decoder = BpOsdDecoder::new(&dem);
         let runtime = Runtime::new(RuntimeConfig::new(4, 64, 0));
-        let est = estimate_logical_error_rate(&dem, &decoder, shots, 99, &runtime);
+        let est = estimate_logical_error_rate(
+            &dem,
+            &decoder,
+            LerOptions::fixed(shots, 99),
+            &runtime,
+            &mut |_| {},
+        )
+        .0;
         failures += est.failures;
         total += est.shots;
     }
@@ -90,8 +99,22 @@ fn decoders_agree_on_surface_code_order_of_magnitude() {
     let uf = UnionFindDecoder::new(&dem);
     let shots = 800;
     let runtime = Runtime::new(RuntimeConfig::new(4, 64, 0));
-    let a = estimate_logical_error_rate(&dem, &bposd, shots, 5, &runtime);
-    let b = estimate_logical_error_rate(&dem, &uf, shots, 5, &runtime);
+    let a = estimate_logical_error_rate(
+        &dem,
+        &bposd,
+        LerOptions::fixed(shots, 5),
+        &runtime,
+        &mut |_| {},
+    )
+    .0;
+    let b = estimate_logical_error_rate(
+        &dem,
+        &uf,
+        LerOptions::fixed(shots, 5),
+        &runtime,
+        &mut |_| {},
+    )
+    .0;
     // Union-find is less accurate but must stay within an order of magnitude.
     assert!(b.failures <= 10 * a.failures.max(3));
 }

@@ -5,7 +5,7 @@
 use prophunt_suite::circuit::schedule::ScheduleSpec;
 use prophunt_suite::circuit::{DetectorErrorModel, MemoryBasis, MemoryExperiment, NoiseModel};
 use prophunt_suite::core::{PropHunt, PropHuntConfig};
-use prophunt_suite::decoders::{estimate_logical_error_rate, BpOsdDecoder};
+use prophunt_suite::decoders::{estimate_logical_error_rate, BpOsdDecoder, LerOptions};
 use prophunt_suite::formats::{
     parse_dem, parse_report, parse_schedule, report_to_result, result_to_report, write_dem,
     write_report, write_schedule,
@@ -85,23 +85,26 @@ fn parsed_golden_dem_gives_bit_identical_ler_counts() {
     let dec_ref = BpOsdDecoder::new(&reference);
     let dec_parsed = BpOsdDecoder::new(&parsed);
     let (shots, seed, chunk_size) = (600, 42, 64);
+    let options = LerOptions::fixed(shots, seed);
     let baseline = estimate_logical_error_rate(
         &reference,
         &dec_ref,
-        shots,
-        seed,
+        options,
         &Runtime::new(RuntimeConfig::new(1, chunk_size, 0)),
-    );
+        &mut |_| {},
+    )
+    .0;
     // The parsed-back model must reproduce the failure count bit-for-bit at the
     // fixed (seed, chunk_size), at any thread count.
     for threads in [1, 4] {
         let estimate = estimate_logical_error_rate(
             &parsed,
             &dec_parsed,
-            shots,
-            seed,
+            options,
             &Runtime::new(RuntimeConfig::new(threads, chunk_size, 0)),
-        );
+            &mut |_| {},
+        )
+        .0;
         assert_eq!(estimate.failures, baseline.failures, "threads = {threads}");
         assert_eq!(estimate.shots, baseline.shots);
     }
@@ -255,8 +258,21 @@ fn dem_export_of_an_optimized_schedule_round_trips_with_identical_ler() {
     assert!(parsed.same_distribution(&dem));
 
     let runtime = Runtime::new(RuntimeConfig::new(2, 64, 0));
-    let in_memory = estimate_logical_error_rate(&dem, &BpOsdDecoder::new(&dem), 400, 9, &runtime);
-    let from_file =
-        estimate_logical_error_rate(&parsed, &BpOsdDecoder::new(&parsed), 400, 9, &runtime);
+    let in_memory = estimate_logical_error_rate(
+        &dem,
+        &BpOsdDecoder::new(&dem),
+        LerOptions::fixed(400, 9),
+        &runtime,
+        &mut |_| {},
+    )
+    .0;
+    let from_file = estimate_logical_error_rate(
+        &parsed,
+        &BpOsdDecoder::new(&parsed),
+        LerOptions::fixed(400, 9),
+        &runtime,
+        &mut |_| {},
+    )
+    .0;
     assert_eq!(in_memory.failures, from_file.failures);
 }

@@ -6,7 +6,7 @@
 //! though the timestamps are not.
 
 use prophunt_suite::api::{
-    DecoderRegistry, Engine, ExperimentSpec, LerJob, SearchJob, Session, ShotBudget,
+    DecoderRegistry, ExperimentSpec, LerJob, SearchJob, Session, ShotBudget, StrategyKind,
 };
 use prophunt_suite::formats::trace_event_to_record;
 use prophunt_suite::obs::{Obs, TraceLog, Tracer, DIAG_CATEGORY};
@@ -62,60 +62,99 @@ fn span_census(log: &TraceLog) -> Vec<(String, String, usize)> {
 
 #[test]
 fn traced_ler_matches_untraced_and_its_span_census_is_thread_independent() {
-    for engine in [Engine::Scalar, Engine::Frames] {
-        let spec = ExperimentSpec::builder()
-            .code_family("surface:3")
-            .unwrap()
-            .noise_str("depolarizing:0.008")
-            .unwrap()
-            .engine(engine)
-            .build()
-            .unwrap();
-        let job = LerJob::new(spec).with_budget(ShotBudget::fixed(512));
+    let spec = ExperimentSpec::builder()
+        .code_family("surface:3")
+        .unwrap()
+        .noise_str("depolarizing:0.008")
+        .unwrap()
+        .build()
+        .unwrap();
+    let job = LerJob::new(spec).with_budget(ShotBudget::fixed(512));
 
-        let mut plain = Session::new(RuntimeConfig::new(4, 64, 9));
-        let baseline = plain.run_ler_quiet(&job).unwrap();
+    let mut plain = Session::new(RuntimeConfig::new(4, 64, 9));
+    let baseline = plain.run_ler_quiet(&job).unwrap();
 
-        let mut censuses = Vec::new();
-        for threads in [1, 2, 8] {
-            let (mut session, tracer) = traced_session(threads, 9);
-            let outcome = session.run_ler_quiet(&job).unwrap();
-            // Tracing is out-of-band: the estimate is bit-identical to the
-            // untraced session's at every thread count.
-            assert_eq!(
-                outcome.combined.failures,
-                baseline.combined.failures,
-                "engine {} threads {threads}: tracing changed the failure count",
-                engine.as_str()
-            );
-            let log = tracer.drain();
-            assert_eq!(log.dropped, 0);
-            assert!(log
-                .events
-                .iter()
-                .any(|e| e.name == "job.ler" && e.cat == "job"));
-            assert!(log.events.iter().any(|e| e.name == "runtime.task"));
-            assert!(log.events.iter().any(|e| e.name == "ler.chunk"));
-            censuses.push(span_census(&log));
-        }
-        // 512 shots in 64-shot chunks: the same spans exist at any thread
-        // count, in the same numbers.
+    let mut censuses = Vec::new();
+    for threads in [1, 2, 8] {
+        let (mut session, tracer) = traced_session(threads, 9);
+        let outcome = session.run_ler_quiet(&job).unwrap();
+        // Tracing is out-of-band: the estimate is bit-identical to the
+        // untraced session's at every thread count.
         assert_eq!(
-            censuses[0],
-            censuses[1],
-            "engine {}: span census differs between 1 and 2 threads",
-            engine.as_str()
+            outcome.combined.failures, baseline.combined.failures,
+            "threads {threads}: tracing changed the failure count"
         );
-        assert_eq!(
-            censuses[0],
-            censuses[2],
-            "engine {}: span census differs between 1 and 8 threads",
-            engine.as_str()
-        );
-        assert!(censuses[0]
+        let log = tracer.drain();
+        assert_eq!(log.dropped, 0);
+        assert!(log
+            .events
             .iter()
-            .any(|(name, _, count)| name == "ler.chunk" && *count == 8));
+            .any(|e| e.name == "job.ler" && e.cat == "job"));
+        assert!(log.events.iter().any(|e| e.name == "runtime.task"));
+        assert!(log.events.iter().any(|e| e.name == "ler.chunk"));
+        censuses.push(span_census(&log));
     }
+    // 512 shots in 64-shot chunks: the same spans exist at any thread count,
+    // in the same numbers.
+    assert_eq!(
+        censuses[0], censuses[1],
+        "span census differs between 1 and 2 threads"
+    );
+    assert_eq!(
+        censuses[0], censuses[2],
+        "span census differs between 1 and 8 threads"
+    );
+    assert!(censuses[0]
+        .iter()
+        .any(|(name, _, count)| name == "ler.chunk" && *count == 8));
+}
+
+#[test]
+fn traced_search_matches_the_untraced_incumbent_and_depth_sequence() {
+    // The full portfolio, every strategy racing: attaching a tracer must not
+    // change the winning incumbent or the per-round incumbent depths.
+    let spec = ExperimentSpec::builder()
+        .code_family("surface:3")
+        .unwrap()
+        .build()
+        .unwrap();
+    let job = SearchJob::new(spec)
+        .with_strategies(StrategyKind::ALL.to_vec())
+        .with_portfolio_size(StrategyKind::ALL.len())
+        .with_rounds(2)
+        .with_samples(4)
+        .with_seed(300);
+    let mut plain = Session::new(RuntimeConfig::new(2, 64, 0));
+    let untraced = plain.run_search_quiet(&job).unwrap();
+    let (mut session, tracer) = traced_session(2, 0);
+    let traced = session.run_search_quiet(&job).unwrap();
+
+    let (a, b) = (&untraced.result.best, &traced.result.best);
+    assert_eq!(
+        (a.depth, a.strategy, a.instance, a.round),
+        (b.depth, b.strategy, b.instance, b.round),
+        "tracing changed the search incumbent"
+    );
+    assert_eq!(a.schedule, b.schedule, "tracing changed the best schedule");
+    let depths = |outcome: &prophunt_suite::api::SearchOutcome| -> Vec<usize> {
+        outcome
+            .result
+            .rounds
+            .iter()
+            .map(|round| round.incumbent.depth)
+            .collect()
+    };
+    assert_eq!(
+        depths(&untraced),
+        depths(&traced),
+        "tracing changed the per-round incumbent-depth sequence"
+    );
+    let log = tracer.drain();
+    assert_eq!(log.dropped, 0, "search trace dropped events");
+    assert!(
+        log.events.iter().any(|e| e.cat == DIAG_CATEGORY),
+        "traced search must emit convergence-diagnostic records"
+    );
 }
 
 #[test]
