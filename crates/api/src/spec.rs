@@ -429,18 +429,28 @@ mod tests {
     }
 
     #[test]
-    fn engine_is_a_frames_only_compatibility_type() {
+    fn engine_names_round_trip_and_default_is_frames() {
         assert_eq!(Engine::default(), Engine::Frames);
+        assert_eq!(Engine::Frames.as_str(), "frames");
         assert_eq!(Engine::parse(Engine::Frames.as_str()), Some(Engine::Frames));
         assert_eq!(Engine::parse("scalar"), None);
         assert_eq!(Engine::parse("vectorized"), None);
-        // The builder knob is a no-op: the spec equals one built without it.
+    }
+
+    #[test]
+    fn engine_builder_knob_is_a_no_op_on_the_spec() {
+        let plain = ExperimentSpec::builder()
+            .code_family("surface:3")
+            .unwrap()
+            .build()
+            .unwrap();
         let built = ExperimentSpec::builder()
             .code_family("surface:3")
             .unwrap()
             .engine(Engine::Frames)
             .build()
             .unwrap();
+        assert_eq!(format!("{built:?}"), format!("{plain:?}"));
         assert_eq!(built.decoder(), "bposd");
         assert_eq!(built.decode_cache(), DecodeCache::On);
     }
