@@ -1,13 +1,22 @@
-//! Detector error models: static propagation of every circuit fault into the
-//! circuit-level check matrix `H` and observable matrix `L`, plus Monte-Carlo sampling.
+//! Detector error models: every circuit fault mapped to the detectors and logical
+//! observables it flips — the circuit-level check matrix `H` and observable matrix `L` —
+//! plus Monte-Carlo sampling.
 //!
 //! This is the circuit-level model of the paper's Section 2.7: each elementary fault the
-//! noise model can inject is propagated (deterministically, using the CNOT propagation
-//! rules of Figure 3b) through the remainder of the circuit, and recorded by the set of
-//! detectors and logical observables it flips. Faults with identical signatures are
-//! merged into a single *error mechanism* with a combined probability. The resulting
+//! noise model can inject is recorded by the set of detectors and logical observables it
+//! flips under the Pauli propagation rules of Figure 3b. Faults with identical signatures
+//! are merged into a single *error mechanism* with a combined probability. The resulting
 //! bipartite structure (error mechanisms vs. detectors) is exactly the decoding graph
 //! PropHunt's ambiguity analysis walks over.
+//!
+//! Signatures come from one *backward* sweep over the circuit (Stim's backward error
+//! analysis), not from propagating each fault forward. Every detector and observable owns
+//! one bit of a `⌈(detectors + observables) / 64⌉`-word row, and each qubit carries two
+//! rows: the detectors/observables that an `X` (resp. `Z`) on that qubit, at the current
+//! sweep position, would flip. Walking the operations last to first, a CNOT, Hadamard,
+//! reset or measurement updates those rows with a few word XORs, and a fault's signature
+//! is the XOR of the rows its Pauli components select at its own position. A build costs
+//! `O((operations + faults) · words)` instead of `O(faults · remaining circuit)`.
 
 use crate::builder::MemoryExperiment;
 use crate::noise::{Fault, NoiseModel, SparsePauli};
@@ -15,7 +24,7 @@ use crate::ops::Op;
 use prophunt_gf2::{BitMatrix, BitVec};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// The circuit fault (or one of several merged faults) behind an [`ErrorMechanism`].
 #[derive(Debug, Clone, PartialEq)]
@@ -65,8 +74,8 @@ pub struct DetectorErrorModel {
 }
 
 impl DetectorErrorModel {
-    /// Builds the detector error model of `experiment` under `noise` by enumerating and
-    /// propagating every elementary fault.
+    /// Builds the detector error model of `experiment` under `noise` by enumerating every
+    /// elementary fault and signing it with one backward sensitivity sweep.
     pub fn from_experiment(experiment: &MemoryExperiment, noise: &NoiseModel) -> Self {
         let faults = noise.enumerate_faults(&experiment.circuit);
         Self::from_faults(experiment, &faults)
@@ -74,146 +83,31 @@ impl DetectorErrorModel {
 
     /// Builds a detector error model from an explicit fault list (used by tests and by
     /// effective-distance analyses that want unit-probability faults).
+    ///
+    /// Signatures come from one backward sensitivity sweep (see the module docs); the
+    /// faults are then merged in list order, so mechanism order, source order and the
+    /// probability-combination order follow `faults`. Faults that flip nothing —
+    /// including faults placed at a moment past the end of the circuit — are dropped.
     pub fn from_faults(experiment: &MemoryExperiment, faults: &[Fault]) -> Self {
-        let circuit = &experiment.circuit;
-        let num_qubits = circuit.num_qubits();
+        let num_detectors = experiment.num_detectors();
+        let words = (num_detectors + experiment.num_observables())
+            .div_ceil(64)
+            .max(1);
+        let signatures = fault_signatures(experiment, faults, words);
 
-        // Measurement index of each (moment, op_index).
-        let mut meas_index: Vec<Vec<usize>> = Vec::with_capacity(circuit.num_moments());
-        let mut counter = 0usize;
-        for moment in circuit.moments() {
-            let mut row = Vec::with_capacity(moment.len());
-            for op in moment {
-                if op.is_measurement() {
-                    row.push(counter);
-                    counter += 1;
-                } else {
-                    row.push(usize::MAX);
-                }
-            }
-            meas_index.push(row);
-        }
-
-        // Membership maps from measurement index to detectors / observables.
-        let mut meas_to_detectors: Vec<Vec<usize>> = vec![Vec::new(); counter];
-        for (d, members) in experiment.detectors.iter().enumerate() {
-            for &m in members {
-                meas_to_detectors[m].push(d);
-            }
-        }
-        let mut meas_to_observables: Vec<Vec<usize>> = vec![Vec::new(); counter];
-        for (o, members) in experiment.observables.iter().enumerate() {
-            for &m in members {
-                meas_to_observables[m].push(o);
-            }
-        }
-
-        let mut frame_x = vec![false; num_qubits];
-        let mut frame_z = vec![false; num_qubits];
-        let mut touched: Vec<usize> = Vec::new();
-        let mut merged: HashMap<(Vec<usize>, Vec<usize>), usize> = HashMap::new();
+        // Lookup-only index from signature to mechanism: never iterated.
+        let mut merged: HashMap<&[u64], usize> = HashMap::new();
         let mut errors: Vec<ErrorMechanism> = Vec::new();
-
-        for fault in faults {
-            // Inject the error.
-            for &(q, pauli) in &fault.error {
-                if pauli.has_x() {
-                    frame_x[q] = !frame_x[q];
-                }
-                if pauli.has_z() {
-                    frame_z[q] = !frame_z[q];
-                }
-                touched.push(q);
-            }
-
-            // Propagate through the rest of the circuit, recording measurement flips.
-            let mut flipped_meas: Vec<usize> = Vec::new();
-            let start_op = if fault.pre_op {
-                fault.op_index
-            } else {
-                fault.op_index.saturating_add(1)
-            };
-            for mi in fault.moment..circuit.num_moments() {
-                let ops = circuit.moment(mi);
-                let first = if mi == fault.moment {
-                    start_op.min(ops.len())
-                } else {
-                    0
-                };
-                for (oi, op) in ops.iter().enumerate().skip(first) {
-                    match *op {
-                        Op::Cnot(c, t) => {
-                            if frame_x[c] {
-                                frame_x[t] = !frame_x[t];
-                                touched.push(t);
-                            }
-                            if frame_z[t] {
-                                frame_z[c] = !frame_z[c];
-                                touched.push(c);
-                            }
-                        }
-                        Op::H(q) => {
-                            let (x, z) = (frame_x[q], frame_z[q]);
-                            frame_x[q] = z;
-                            frame_z[q] = x;
-                        }
-                        Op::ResetZ(q) | Op::ResetX(q) => {
-                            frame_x[q] = false;
-                            frame_z[q] = false;
-                        }
-                        Op::MeasureZ(q) => {
-                            if frame_x[q] {
-                                flipped_meas.push(meas_index[mi][oi]);
-                            }
-                        }
-                        Op::MeasureX(q) => {
-                            if frame_z[q] {
-                                flipped_meas.push(meas_index[mi][oi]);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Clear the frame for the next fault.
-            for &q in &touched {
-                frame_x[q] = false;
-                frame_z[q] = false;
-            }
-            touched.clear();
-
-            // Convert measurement flips into detector / observable flips. BTreeMaps
-            // keep the parity sets sorted by index, so the collected vectors come
-            // out in canonical order directly.
-            let mut det_parity: BTreeMap<usize, bool> = BTreeMap::new();
-            let mut obs_parity: BTreeMap<usize, bool> = BTreeMap::new();
-            for &m in &flipped_meas {
-                for &d in &meas_to_detectors[m] {
-                    *det_parity.entry(d).or_insert(false) ^= true;
-                }
-                for &o in &meas_to_observables[m] {
-                    *obs_parity.entry(o).or_insert(false) ^= true;
-                }
-            }
-            let detectors: Vec<usize> = det_parity
-                .into_iter()
-                .filter_map(|(d, on)| on.then_some(d))
-                .collect();
-            let observables: Vec<usize> = obs_parity
-                .into_iter()
-                .filter_map(|(o, on)| on.then_some(o))
-                .collect();
-            if detectors.is_empty() && observables.is_empty() {
+        for (fault, signature) in faults.iter().zip(signatures.chunks_exact(words)) {
+            if signature.iter().all(|&w| w == 0) {
                 continue;
             }
-
             let source = FaultSource {
                 moment: fault.moment,
                 op: fault.op,
                 error: fault.error.clone(),
             };
-            let key = (detectors.clone(), observables.clone());
-            match merged.get(&key) {
+            match merged.get(signature) {
                 Some(&idx) => {
                     let mech = &mut errors[idx];
                     mech.probability = mech.probability * (1.0 - fault.probability)
@@ -221,7 +115,8 @@ impl DetectorErrorModel {
                     mech.sources.push(source);
                 }
                 None => {
-                    merged.insert(key, errors.len());
+                    merged.insert(signature, errors.len());
+                    let (detectors, observables) = signature_indices(signature, num_detectors);
                     errors.push(ErrorMechanism {
                         probability: fault.probability,
                         detectors,
@@ -233,7 +128,7 @@ impl DetectorErrorModel {
         }
 
         DetectorErrorModel {
-            num_detectors: experiment.num_detectors(),
+            num_detectors,
             num_observables: experiment.num_observables(),
             errors,
             sampler_tables: std::sync::OnceLock::new(),
@@ -398,6 +293,167 @@ impl DetectorErrorModel {
             rng: SmallRng::seed_from_u64(seed),
         }
     }
+}
+
+/// Computes every fault's detector/observable signature with one backward sweep.
+///
+/// Returns `words` words per fault, in `faults` order: bit `d < num_detectors` is
+/// detector `d`, bit `num_detectors + o` is observable `o`. The sweep keeps, per qubit,
+/// the rows `sx[q]` / `sz[q]` of detectors and observables that an `X` / `Z` on `q`
+/// would flip from the current position on, and walks the moments last to first and
+/// each moment's operations in reverse list order:
+///
+/// - `CNOT(c, t)`: `sx[c] ^= sx[t]`, `sz[t] ^= sz[c]` (an `X` on the control spreads to
+///   the target, a `Z` on the target spreads to the control);
+/// - `H(q)`: swap `sx[q]` and `sz[q]`;
+/// - a reset clears both rows of its qubit;
+/// - `MeasureZ(q)` / `MeasureX(q)` XOR the measurement's detector/observable bits into
+///   `sx[q]` / `sz[q]`.
+///
+/// A fault sits at position `min(op_index (+1 unless pre-op), moment length)` of its
+/// moment — the first operation it passes through — and its signature is the XOR of
+/// `sx[q]` over its `X` components and `sz[q]` over its `Z` components at that position.
+/// Faults are bucketed by position with a counting sort, so the fault list may come in
+/// any order; a fault at a moment past the end of the circuit keeps an all-zero
+/// signature.
+fn fault_signatures(experiment: &MemoryExperiment, faults: &[Fault], words: usize) -> Vec<u64> {
+    let circuit = &experiment.circuit;
+    let num_detectors = experiment.num_detectors();
+
+    // Signature bits each measurement feeds (its detectors, then its observables).
+    let mut meas_bits: Vec<Vec<usize>> = vec![Vec::new(); circuit.num_measurements()];
+    for (d, members) in experiment.detectors.iter().enumerate() {
+        for &m in members {
+            meas_bits[m].push(d);
+        }
+    }
+    for (o, members) in experiment.observables.iter().enumerate() {
+        for &m in members {
+            meas_bits[m].push(num_detectors + o);
+        }
+    }
+
+    // Sweep positions: moment `m` owns positions `first[m] + s` for `s` in `0..=len`,
+    // where `s` is "just before operation `s`" and `len` is "end of moment".
+    let mut first = Vec::with_capacity(circuit.num_moments());
+    let mut num_positions = 0;
+    for ops in circuit.moments() {
+        first.push(num_positions);
+        num_positions += ops.len() + 1;
+    }
+    let position = |fault: &Fault| -> Option<usize> {
+        if fault.moment >= circuit.num_moments() {
+            return None;
+        }
+        let len = circuit.moment(fault.moment).len();
+        let s = if fault.pre_op {
+            fault.op_index
+        } else {
+            fault.op_index.saturating_add(1)
+        };
+        Some(first[fault.moment] + s.min(len))
+    };
+
+    // Counting sort of fault indices by position.
+    let positions: Vec<Option<usize>> = faults.iter().map(position).collect();
+    let mut bucket_start = vec![0usize; num_positions + 1];
+    for &p in positions.iter().flatten() {
+        bucket_start[p + 1] += 1;
+    }
+    for p in 0..num_positions {
+        bucket_start[p + 1] += bucket_start[p];
+    }
+    let mut next = bucket_start.clone();
+    let mut by_position = vec![0usize; bucket_start[num_positions]];
+    for (f, &p) in positions.iter().enumerate() {
+        if let Some(p) = p {
+            by_position[next[p]] = f;
+            next[p] += 1;
+        }
+    }
+
+    let num_qubits = circuit.num_qubits();
+    let row = |q: usize| q * words..(q + 1) * words;
+    let mut sx = vec![0u64; num_qubits * words];
+    let mut sz = vec![0u64; num_qubits * words];
+    let mut signatures = vec![0u64; faults.len() * words];
+    let mut meas = circuit.num_measurements();
+    for m in (0..circuit.num_moments()).rev() {
+        let ops = circuit.moment(m);
+        for s in (0..=ops.len()).rev() {
+            let p = first[m] + s;
+            for &f in &by_position[bucket_start[p]..bucket_start[p + 1]] {
+                let signature = &mut signatures[f * words..(f + 1) * words];
+                for &(q, pauli) in &faults[f].error {
+                    if pauli.has_x() {
+                        xor_into(signature, &sx[row(q)]);
+                    }
+                    if pauli.has_z() {
+                        xor_into(signature, &sz[row(q)]);
+                    }
+                }
+            }
+            let Some(op) = s.checked_sub(1).map(|i| ops[i]) else {
+                continue;
+            };
+            match op {
+                Op::Cnot(c, t) => {
+                    xor_row(&mut sx, c, t, words);
+                    xor_row(&mut sz, t, c, words);
+                }
+                Op::H(q) => sx[row(q)].swap_with_slice(&mut sz[row(q)]),
+                Op::ResetZ(q) | Op::ResetX(q) => {
+                    sx[row(q)].fill(0);
+                    sz[row(q)].fill(0);
+                }
+                Op::MeasureZ(q) | Op::MeasureX(q) => {
+                    meas -= 1;
+                    let rows = if matches!(op, Op::MeasureZ(_)) {
+                        &mut sx
+                    } else {
+                        &mut sz
+                    };
+                    for &b in &meas_bits[meas] {
+                        rows[q * words + b / 64] ^= 1 << (b % 64);
+                    }
+                }
+            }
+        }
+    }
+    signatures
+}
+
+/// `dst ^= src`, word by word.
+fn xor_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
+
+/// `rows[dst] ^= rows[src]` for `words`-word rows of one flat buffer.
+fn xor_row(rows: &mut [u64], dst: usize, src: usize, words: usize) {
+    for k in 0..words {
+        rows[dst * words + k] ^= rows[src * words + k];
+    }
+}
+
+/// Splits a signature into its sorted detector and observable indices.
+fn signature_indices(signature: &[u64], num_detectors: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut detectors = Vec::new();
+    let mut observables = Vec::new();
+    for (k, &word) in signature.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            let bit = k * 64 + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if bit < num_detectors {
+                detectors.push(bit);
+            } else {
+                observables.push(bit - num_detectors);
+            }
+        }
+    }
+    (detectors, observables)
 }
 
 /// The mechanism list of a [`DetectorErrorModel`] flattened into CSR-style
@@ -707,6 +763,359 @@ mod tests {
     use prophunt_qec::small::quantum_repetition_code;
     use prophunt_qec::surface::rotated_surface_code_with_layout;
     use prophunt_qec::StabilizerKind;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use std::collections::BTreeMap;
+
+    /// The forward propagator `from_faults` used before the backward sweep: each
+    /// fault is injected into a one-bool-per-qubit Pauli frame and pushed through
+    /// the rest of the circuit. Kept as the equivalence oracle.
+    fn forward_oracle(experiment: &MemoryExperiment, faults: &[Fault]) -> Vec<ErrorMechanism> {
+        let circuit = &experiment.circuit;
+        let num_qubits = circuit.num_qubits();
+
+        let mut meas_index: Vec<Vec<usize>> = Vec::with_capacity(circuit.num_moments());
+        let mut counter = 0usize;
+        for moment in circuit.moments() {
+            let mut row = Vec::with_capacity(moment.len());
+            for op in moment {
+                if op.is_measurement() {
+                    row.push(counter);
+                    counter += 1;
+                } else {
+                    row.push(usize::MAX);
+                }
+            }
+            meas_index.push(row);
+        }
+        let mut meas_to_detectors: Vec<Vec<usize>> = vec![Vec::new(); counter];
+        for (d, members) in experiment.detectors.iter().enumerate() {
+            for &m in members {
+                meas_to_detectors[m].push(d);
+            }
+        }
+        let mut meas_to_observables: Vec<Vec<usize>> = vec![Vec::new(); counter];
+        for (o, members) in experiment.observables.iter().enumerate() {
+            for &m in members {
+                meas_to_observables[m].push(o);
+            }
+        }
+
+        let mut frame_x = vec![false; num_qubits];
+        let mut frame_z = vec![false; num_qubits];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut merged: HashMap<(Vec<usize>, Vec<usize>), usize> = HashMap::new();
+        let mut errors: Vec<ErrorMechanism> = Vec::new();
+        for fault in faults {
+            for &(q, pauli) in &fault.error {
+                if pauli.has_x() {
+                    frame_x[q] = !frame_x[q];
+                }
+                if pauli.has_z() {
+                    frame_z[q] = !frame_z[q];
+                }
+                touched.push(q);
+            }
+            let mut flipped_meas: Vec<usize> = Vec::new();
+            let start_op = if fault.pre_op {
+                fault.op_index
+            } else {
+                fault.op_index.saturating_add(1)
+            };
+            for mi in fault.moment..circuit.num_moments() {
+                let ops = circuit.moment(mi);
+                let first = if mi == fault.moment {
+                    start_op.min(ops.len())
+                } else {
+                    0
+                };
+                for (oi, op) in ops.iter().enumerate().skip(first) {
+                    match *op {
+                        Op::Cnot(c, t) => {
+                            if frame_x[c] {
+                                frame_x[t] = !frame_x[t];
+                                touched.push(t);
+                            }
+                            if frame_z[t] {
+                                frame_z[c] = !frame_z[c];
+                                touched.push(c);
+                            }
+                        }
+                        Op::H(q) => {
+                            let (x, z) = (frame_x[q], frame_z[q]);
+                            frame_x[q] = z;
+                            frame_z[q] = x;
+                        }
+                        Op::ResetZ(q) | Op::ResetX(q) => {
+                            frame_x[q] = false;
+                            frame_z[q] = false;
+                        }
+                        Op::MeasureZ(q) => {
+                            if frame_x[q] {
+                                flipped_meas.push(meas_index[mi][oi]);
+                            }
+                        }
+                        Op::MeasureX(q) => {
+                            if frame_z[q] {
+                                flipped_meas.push(meas_index[mi][oi]);
+                            }
+                        }
+                    }
+                }
+            }
+            for &q in &touched {
+                frame_x[q] = false;
+                frame_z[q] = false;
+            }
+            touched.clear();
+
+            let mut det_parity: BTreeMap<usize, bool> = BTreeMap::new();
+            let mut obs_parity: BTreeMap<usize, bool> = BTreeMap::new();
+            for &m in &flipped_meas {
+                for &d in &meas_to_detectors[m] {
+                    *det_parity.entry(d).or_insert(false) ^= true;
+                }
+                for &o in &meas_to_observables[m] {
+                    *obs_parity.entry(o).or_insert(false) ^= true;
+                }
+            }
+            let detectors: Vec<usize> = det_parity
+                .into_iter()
+                .filter_map(|(d, on)| on.then_some(d))
+                .collect();
+            let observables: Vec<usize> = obs_parity
+                .into_iter()
+                .filter_map(|(o, on)| on.then_some(o))
+                .collect();
+            if detectors.is_empty() && observables.is_empty() {
+                continue;
+            }
+            let source = FaultSource {
+                moment: fault.moment,
+                op: fault.op,
+                error: fault.error.clone(),
+            };
+            let key = (detectors.clone(), observables.clone());
+            match merged.get(&key) {
+                Some(&idx) => {
+                    let mech = &mut errors[idx];
+                    mech.probability = mech.probability * (1.0 - fault.probability)
+                        + fault.probability * (1.0 - mech.probability);
+                    mech.sources.push(source);
+                }
+                None => {
+                    merged.insert(key, errors.len());
+                    errors.push(ErrorMechanism {
+                        probability: fault.probability,
+                        detectors,
+                        observables,
+                        sources: vec![source],
+                    });
+                }
+            }
+        }
+        errors
+    }
+
+    /// Asserts `dem` equals the oracle mechanism for mechanism: signatures,
+    /// sources and probability bits.
+    fn assert_matches_oracle(dem: &DetectorErrorModel, oracle: &[ErrorMechanism]) {
+        assert_eq!(dem.num_errors(), oracle.len(), "mechanism count");
+        for (i, (got, want)) in dem.errors().iter().zip(oracle).enumerate() {
+            assert_eq!(got, want, "mechanism {i}");
+            assert_eq!(
+                got.probability.to_bits(),
+                want.probability.to_bits(),
+                "mechanism {i} probability bits"
+            );
+        }
+    }
+
+    /// The same experiment with every X-basis reset and measurement compiled to
+    /// a Z-basis one conjugated by Hadamards (the builder emits no `H`), so the
+    /// sweep's Hadamard rule meets the oracle too.
+    fn hadamard_compiled(exp: &MemoryExperiment) -> MemoryExperiment {
+        let mut circuit = crate::ops::Circuit::new(exp.circuit.num_qubits());
+        for ops in exp.circuit.moments() {
+            let hadamards = |pick: fn(Op) -> Option<usize>| -> Vec<Op> {
+                ops.iter().filter_map(|&op| pick(op)).map(Op::H).collect()
+            };
+            let before = hadamards(|op| match op {
+                Op::MeasureX(q) => Some(q),
+                _ => None,
+            });
+            let after = hadamards(|op| match op {
+                Op::ResetX(q) => Some(q),
+                _ => None,
+            });
+            if !before.is_empty() {
+                circuit.push_moment(before);
+            }
+            circuit.push_moment(
+                ops.iter()
+                    .map(|&op| match op {
+                        Op::ResetX(q) => Op::ResetZ(q),
+                        Op::MeasureX(q) => Op::MeasureZ(q),
+                        op => op,
+                    })
+                    .collect(),
+            );
+            if !after.is_empty() {
+                circuit.push_moment(after);
+            }
+        }
+        MemoryExperiment {
+            circuit,
+            ..exp.clone()
+        }
+    }
+
+    /// Builds a model from the enumerated faults in list order, then from a
+    /// shuffled list with faults past the last moment mixed in, and checks both
+    /// against the forward oracle on the same list; then does the same for the
+    /// Hadamard-compiled circuit.
+    fn check_against_oracle(
+        code: &prophunt_qec::CssCode,
+        rounds: usize,
+        basis: MemoryBasis,
+        noise: &NoiseModel,
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let schedule = ScheduleSpec::coloration_random(code, &mut rng);
+        let exp = MemoryExperiment::build(code, &schedule, rounds, basis).unwrap();
+        for exp in [hadamard_compiled(&exp), exp] {
+            let mut faults = noise.enumerate_faults(&exp.circuit);
+            let dem = DetectorErrorModel::from_faults(&exp, &faults);
+            assert!(dem.num_errors() > 0);
+            assert_matches_oracle(&dem, &forward_oracle(&exp, &faults));
+
+            let end = exp.circuit.num_moments();
+            let mut late = faults[0].clone();
+            late.moment = end;
+            faults.push(late.clone());
+            late.moment = end + 3;
+            late.pre_op = !late.pre_op;
+            faults.push(late);
+            faults.shuffle(&mut rng);
+            let dem = DetectorErrorModel::from_faults(&exp, &faults);
+            assert_matches_oracle(&dem, &forward_oracle(&exp, &faults));
+        }
+    }
+
+    /// The three noise families of the equivalence property: uniform, SI1000
+    /// (idle faults on) and a biased model whose zero-weight Paulis are skipped.
+    fn oracle_noise(which: usize) -> NoiseModel {
+        match which {
+            0 => NoiseModel::uniform_depolarizing(1e-3),
+            1 => NoiseModel::si1000(2e-3),
+            _ => NoiseModel::biased(2e-3, 5.0).with_pauli_weights([1.0, 0.0, 10.0]),
+        }
+    }
+
+    fn oracle_basis(z: bool) -> MemoryBasis {
+        if z {
+            MemoryBasis::Z
+        } else {
+            MemoryBasis::X
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn backward_sweep_matches_the_forward_oracle_on_small_codes(
+            family in 0usize..3,
+            rounds in 1usize..4,
+            z in any::<bool>(),
+            noise in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let code = match family {
+                0 => rotated_surface_code_with_layout(3).0,
+                1 => rotated_surface_code_with_layout(5).0,
+                _ => quantum_repetition_code(5),
+            };
+            check_against_oracle(&code, rounds, oracle_basis(z), &oracle_noise(noise), seed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        #[test]
+        fn backward_sweep_matches_the_forward_oracle_on_gb_36_2(
+            z in any::<bool>(),
+            noise in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let code = prophunt_qec::product::generalized_bicycle(18, &[0, 1], &[0, 5], "gb_36_2");
+            check_against_oracle(&code, 2, oracle_basis(z), &oracle_noise(noise), seed);
+        }
+    }
+
+    /// FNV-1a over every field of every mechanism, in order.
+    fn model_fingerprint(dem: &DetectorErrorModel) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for err in dem.errors() {
+            eat(err.probability.to_bits());
+            eat(err.detectors.len() as u64);
+            err.detectors.iter().for_each(|&d| eat(d as u64));
+            eat(err.observables.len() as u64);
+            err.observables.iter().for_each(|&o| eat(o as u64));
+            eat(err.sources.len() as u64);
+            for src in &err.sources {
+                eat(src.moment as u64);
+                let (tag, a, b) = match src.op {
+                    Op::ResetZ(q) => (0, q, 0),
+                    Op::ResetX(q) => (1, q, 0),
+                    Op::H(q) => (2, q, 0),
+                    Op::Cnot(c, t) => (3, c, t),
+                    Op::MeasureZ(q) => (4, q, 0),
+                    Op::MeasureX(q) => (5, q, 0),
+                };
+                eat(tag);
+                eat(a as u64);
+                eat(b as u64);
+                eat(src.error.len() as u64);
+                for &(q, p) in &src.error {
+                    eat(q as u64);
+                    eat(u64::from(p.has_x()) | u64::from(p.has_z()) << 1);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn gb_36_2_coloration_model_is_pinned() {
+        // Mechanism counts and fingerprints recorded with the forward propagator:
+        // any change to mechanism order, signatures, sources or probability bits
+        // shows up here.
+        let code = prophunt_qec::product::generalized_bicycle(18, &[0, 1], &[0, 5], "gb_36_2");
+        let schedule = ScheduleSpec::coloration(&code);
+        let noise = NoiseModel::uniform_depolarizing(1e-3);
+        for (basis, fingerprint) in [
+            (MemoryBasis::Z, 0x3461_9e81_517a_88b6u64),
+            (MemoryBasis::X, 0x86af_c899_cb5f_2a11),
+        ] {
+            let exp = MemoryExperiment::build(&code, &schedule, 3, basis).unwrap();
+            let dem = DetectorErrorModel::from_experiment(&exp, &noise);
+            assert_eq!(dem.num_errors(), 1836, "{basis:?} mechanism count");
+            assert_eq!(
+                model_fingerprint(&dem),
+                fingerprint,
+                "{basis:?} fingerprint"
+            );
+        }
+    }
 
     fn d3_experiment(rounds: usize) -> (prophunt_qec::CssCode, MemoryExperiment) {
         let (code, layout) = rotated_surface_code_with_layout(3);
@@ -738,10 +1147,9 @@ mod tests {
 
     #[test]
     fn mechanism_index_sets_are_sorted_and_extraction_is_reproducible() {
-        // Regression pin for the det_parity/obs_parity HashMap -> BTreeMap
-        // conversion: the per-mechanism index sets must come out of the parity
-        // maps already in canonical ascending order (no post-sort pass exists any
-        // more), and two independent extractions must agree mechanism-for-mechanism.
+        // The per-mechanism index sets come out of the ascending signature bit
+        // scan in canonical order (no post-sort pass exists), and two independent
+        // extractions must agree mechanism-for-mechanism.
         let (_, exp) = d3_experiment(3);
         let noise = NoiseModel::uniform_depolarizing(1e-3);
         let dem_a = DetectorErrorModel::from_experiment(&exp, &noise);

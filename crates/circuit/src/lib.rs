@@ -2,10 +2,11 @@
 //!
 //! This crate is the "Stim-like" substrate of the PropHunt reproduction. It turns a CSS
 //! code plus an abstract CNOT schedule into a concrete physical circuit, attaches a
-//! circuit-level Pauli noise model, and statically propagates every possible fault
-//! through the circuit to produce the **detector error model** — the circuit-level check
-//! matrix `H` and logical-observable matrix `L` that the paper's ambiguity analysis and
-//! decoders operate on.
+//! circuit-level Pauli noise model, and finds the detectors and observables every
+//! possible fault flips — with one backward sweep of bit-packed detector sensitivities,
+//! as in Stim's error analysis — to produce the **detector error model**: the
+//! circuit-level check matrix `H` and logical-observable matrix `L` that the paper's
+//! ambiguity analysis and decoders operate on.
 //!
 //! The main pipeline is:
 //!
@@ -18,8 +19,13 @@
 //!    circuit over `rounds` rounds with detectors and logical observables.
 //! 3. [`noise::NoiseModel`] — the paper's uniform circuit-level depolarizing model with
 //!    optional idle errors.
-//! 4. [`dem::DetectorErrorModel`] — fault enumeration + Pauli propagation, producing the
-//!    circuit-level `H`/`L` matrices, plus a Monte-Carlo [`dem::DemSampler`].
+//! 4. [`dem::DetectorErrorModel`] — fault enumeration plus one backward sensitivity
+//!    sweep: walking the circuit last operation first, each qubit keeps the
+//!    detectors/observables an `X` or `Z` on it would flip (one bit each, 64 per word),
+//!    and a fault's signature is the XOR of the rows at its position. That costs
+//!    `O((operations + faults) · words)` per model rather than one forward propagation
+//!    per fault. Equal signatures merge into the circuit-level `H`/`L` columns; a
+//!    Monte-Carlo [`dem::DemSampler`] samples the result.
 //!
 //! # Example
 //!

@@ -8,7 +8,6 @@ use prophunt_circuit::{
 };
 use prophunt_qec::{CssCode, StabilizerKind};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// A single rescheduling swap: flip which of two stabilizers interacts first with a
 /// shared data qubit.
@@ -214,6 +213,12 @@ pub fn enumerate_candidates<R: Rng>(
 /// layered dependency DAG are kept up to date in O(pairs touched + cone))
 /// instead of re-running the full commutation scan and DAG rebuild per
 /// candidate.
+///
+/// The changed circuit's `H`/`L` are rebuilt in full: one backward sensitivity
+/// sweep over the circuit ([`prophunt_circuit::DetectorErrorModel::from_faults`]),
+/// `O((operations + faults) · words)` with one bit per detector and observable,
+/// instead of one forward propagation per fault. The solution's faults are then
+/// matched against the new model's sources in a single scan.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_candidate(
     code: &CssCode,
@@ -256,35 +261,49 @@ fn updated_faults_still_logical(
     updated: &DecodingGraph,
     solution: &MinWeightSolution,
 ) -> bool {
-    // Index the new mechanisms by (op, error, round) of their sources.
-    type SourceKey = (
-        Op,
-        Vec<(usize, prophunt_circuit::noise::Pauli)>,
-        Option<usize>,
-    );
-    let mut index: HashMap<SourceKey, usize> = HashMap::new();
+    match map_solution_faults(original, updated, solution) {
+        Some(mapped) => crate::minweight::is_undetected_logical_error(updated, &mapped),
+        None => false,
+    }
+}
+
+/// Maps each solution mechanism of `original` to the mechanism of `updated` whose
+/// sources contain the same fault: same op, same Pauli error, same round. Returns the
+/// sorted, deduplicated new indices, or `None` when a solution mechanism has no source.
+///
+/// When several new mechanisms carry a matching source, the last one in mechanism and
+/// source order wins: idle faults share the placeholder `Op::H(q)` descriptor within a
+/// round, so a key can repeat when idle noise is on. A fault that vanished from the new
+/// model is treated as removed, which can only make the pattern detectable.
+fn map_solution_faults(
+    original: &DecodingGraph,
+    updated: &DecodingGraph,
+    solution: &MinWeightSolution,
+) -> Option<Vec<usize>> {
+    let mut keys = Vec::with_capacity(solution.errors.len());
+    for &e in &solution.errors {
+        let src = original.dem().error(e).sources.first()?;
+        let round = original.experiment().round_of_moment(src.moment);
+        keys.push((src, round));
+    }
+    // One scan over the new sources against the (few) solution keys, without clones.
+    let mut found: Vec<Option<usize>> = vec![None; keys.len()];
     for (i, err) in updated.dem().errors().iter().enumerate() {
         for src in &err.sources {
-            let round = updated.experiment().round_of_moment(src.moment);
-            index.insert((src.op, src.error.clone(), round), i);
+            for (slot, &(key, round)) in found.iter_mut().zip(&keys) {
+                if src.op == key.op
+                    && src.error == key.error
+                    && updated.experiment().round_of_moment(src.moment) == round
+                {
+                    *slot = Some(i);
+                }
+            }
         }
     }
-    let mut mapped: Vec<usize> = Vec::new();
-    for &e in &solution.errors {
-        let err = original.dem().error(e);
-        let Some(src) = err.sources.first() else {
-            return false;
-        };
-        let round = original.experiment().round_of_moment(src.moment);
-        // When the fault cannot be matched (it vanished from the model), treat it
-        // as removed, which can only make the pattern detectable.
-        if let Some(&new_idx) = index.get(&(src.op, src.error.clone(), round)) {
-            mapped.push(new_idx);
-        }
-    }
+    let mut mapped: Vec<usize> = found.into_iter().flatten().collect();
     mapped.sort_unstable();
     mapped.dedup();
-    crate::minweight::is_undetected_logical_error(updated, &mapped)
+    Some(mapped)
 }
 
 /// Selects at most one verified change per subgraph (minimum depth, Section 5.5) and
@@ -330,6 +349,92 @@ mod tests {
         let schedule = ScheduleSpec::surface_poor(&code, &layout);
         let graph = DecodingGraph::build(&code, &schedule, 3, MemoryBasis::Z, 1e-3).unwrap();
         (code, schedule, graph)
+    }
+
+    /// The source index `map_solution_faults` replaced: every source of the new
+    /// model cloned into a hash map, later mechanisms overwriting earlier ones.
+    fn map_by_index(
+        original: &DecodingGraph,
+        updated: &DecodingGraph,
+        solution: &MinWeightSolution,
+    ) -> Option<Vec<usize>> {
+        type SourceKey = (Op, prophunt_circuit::noise::SparsePauli, Option<usize>);
+        let mut index: std::collections::HashMap<SourceKey, usize> =
+            std::collections::HashMap::new();
+        for (i, err) in updated.dem().errors().iter().enumerate() {
+            for src in &err.sources {
+                let round = updated.experiment().round_of_moment(src.moment);
+                index.insert((src.op, src.error.clone(), round), i);
+            }
+        }
+        let mut mapped = Vec::new();
+        for &e in &solution.errors {
+            let src = original.dem().error(e).sources.first()?;
+            let round = original.experiment().round_of_moment(src.moment);
+            if let Some(&new_idx) = index.get(&(src.op, src.error.clone(), round)) {
+                mapped.push(new_idx);
+            }
+        }
+        mapped.sort_unstable();
+        mapped.dedup();
+        Some(mapped)
+    }
+
+    #[test]
+    fn solution_fault_mapping_matches_the_source_index_under_idle_noise() {
+        // Idle faults of one qubit in one round share a key, so with idle noise on
+        // a key can match several mechanisms and the last one must win. Under
+        // SI1000 idle faults mostly merge into earlier gate-fault mechanisms; the
+        // idle-only model makes them first sources, so solution keys repeat.
+        let (code, layout) = rotated_surface_code_with_layout(3);
+        let poor = ScheduleSpec::surface_poor(&code, &layout);
+        let hand = ScheduleSpec::surface_hand_designed(&code, &layout);
+        for (noise, keys_must_repeat) in [
+            (NoiseModel::si1000(2e-3), false),
+            (NoiseModel::noiseless().with_idle(2e-3), true),
+        ] {
+            let build = |schedule: &ScheduleSpec| {
+                DecodingGraph::build_with_noise(&code, schedule, 3, MemoryBasis::Z, &noise).unwrap()
+            };
+            let (original, updated) = (build(&poor), build(&hand));
+            let every_mechanism: Vec<usize> = (0..original.dem().num_errors()).collect();
+            if keys_must_repeat {
+                let repeated = every_mechanism.iter().any(|&e| {
+                    let key = &original.dem().error(e).sources[0];
+                    let round = original.experiment().round_of_moment(key.moment);
+                    let matches = updated.dem().errors().iter().filter(|err| {
+                        err.sources.iter().any(|src| {
+                            src.op == key.op
+                                && src.error == key.error
+                                && updated.experiment().round_of_moment(src.moment) == round
+                        })
+                    });
+                    matches.count() > 1
+                });
+                assert!(repeated, "some solution key must match several mechanisms");
+            }
+
+            let mut rng = StdRng::seed_from_u64(37);
+            let mut solutions: Vec<MinWeightSolution> = (0..30)
+                .find_map(|_| find_ambiguous_subgraph(&original, &mut rng, 60))
+                .and_then(|sub| min_weight_logical_error(&sub, Duration::from_secs(10)))
+                .into_iter()
+                .collect();
+            if let Some(solution) = solutions.first().cloned() {
+                solutions.push(MinWeightSolution {
+                    errors: every_mechanism,
+                    ..solution
+                });
+            }
+            assert!(!solutions.is_empty(), "{noise:?}: no min-weight solution");
+            for sol in &solutions {
+                for to in [&updated, &original] {
+                    let want = map_by_index(&original, to, sol);
+                    assert!(want.as_ref().is_some_and(|m| !m.is_empty()));
+                    assert_eq!(map_solution_faults(&original, to, sol), want);
+                }
+            }
+        }
     }
 
     #[test]
