@@ -46,28 +46,37 @@ impl CnfBuilder {
         self.add_unit(if parity { x } else { !x });
     }
 
-    /// Builds a totalizer over `lits` and returns its output literals.
+    /// Builds a totalizer over `lits`, cut at `limit`, and returns its output
+    /// literals.
     ///
-    /// Output literal `out[i]` is implied to be true whenever at least `i + 1` of the
-    /// inputs are true, so asserting `!out[k]` enforces "at most `k` inputs true". Only
-    /// the direction needed for upper bounds is encoded.
+    /// There are `min(limit, lits.len())` outputs. Output literal `out[i]` is
+    /// implied to be true whenever at least `i + 1` of the inputs are true, so
+    /// asserting `!out[k]` for `k < limit` enforces "at most `k` inputs true".
+    /// Only the direction needed for upper bounds is encoded, and no counts
+    /// above `limit` are built: every node of the tree keeps at most `limit`
+    /// outputs, which shrinks the encoding from `O(n²)` to `O(n · limit)`
+    /// clauses.
     ///
     /// # Panics
     ///
     /// Panics if `lits` is empty.
-    pub fn totalizer(&mut self, lits: &[Lit]) -> Vec<Lit> {
+    pub fn totalizer(&mut self, lits: &[Lit], limit: usize) -> Vec<Lit> {
         assert!(!lits.is_empty(), "totalizer needs at least one input");
         if lits.len() == 1 {
-            return vec![lits[0]];
+            return lits[..limit.min(1)].to_vec();
         }
         let mid = lits.len() / 2;
-        let left = self.totalizer(&lits[..mid]);
-        let right = self.totalizer(&lits[mid..]);
-        let outputs: Vec<Lit> = (0..lits.len()).map(|_| self.new_var().positive()).collect();
-        // sum(left) >= i and sum(right) >= j implies sum >= i + j.
+        let left = self.totalizer(&lits[..mid], limit);
+        let right = self.totalizer(&lits[mid..], limit);
+        let outputs: Vec<Lit> = (0..lits.len().min(limit))
+            .map(|_| self.new_var().positive())
+            .collect();
+        // sum(left) >= i and sum(right) >= j implies sum >= i + j. Sums above
+        // the cut need no clause: they already imply sum >= limit through
+        // smaller i and j, because the children's outputs are monotone.
         for i in 0..=left.len() {
             for j in 0..=right.len() {
-                if i + j == 0 {
+                if i + j == 0 || i + j > outputs.len() {
                     continue;
                 }
                 let mut clause = Vec::with_capacity(3);
@@ -84,12 +93,13 @@ impl CnfBuilder {
         outputs
     }
 
-    /// Adds the constraint "at most `k` of `lits` are true" via a totalizer.
+    /// Adds the constraint "at most `k` of `lits` are true" via a totalizer
+    /// cut at `k + 1`.
     pub fn add_at_most_k(&mut self, lits: &[Lit], k: usize) {
         if lits.is_empty() || k >= lits.len() {
             return;
         }
-        let outputs = self.totalizer(lits);
+        let outputs = self.totalizer(lits, k + 1);
         self.add_unit(!outputs[k]);
     }
 }
@@ -186,6 +196,42 @@ mod tests {
                 });
             }
         }
+    }
+
+    #[test]
+    fn cut_totalizer_bounds_match_counting_semantics() {
+        // For every input count n, every cut and every output the cut keeps,
+        // asserting !out[c - 1] must allow exactly the assignments with at
+        // most c - 1 true inputs.
+        for n in 1..=6 {
+            for limit in 1..=n + 1 {
+                for c in 1..=limit.min(n) {
+                    let mut b = CnfBuilder::new();
+                    let vars = b.new_vars(n);
+                    let lits: Vec<Lit> = vars.iter().map(|v| v.positive()).collect();
+                    let outputs = b.totalizer(&lits, limit);
+                    assert_eq!(outputs.len(), limit.min(n), "n {n} limit {limit}");
+                    b.add_unit(!outputs[c - 1]);
+                    assert_projection_matches(&b, &vars, |vals| {
+                        vals.iter().filter(|&&x| x).count() < c
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cutting_the_totalizer_shrinks_it() {
+        let mut full = CnfBuilder::new();
+        let mut cut = CnfBuilder::new();
+        let lits: Vec<Lit> = full.new_vars(64).iter().map(|v| v.positive()).collect();
+        cut.new_vars(64);
+        full.totalizer(&lits, 64);
+        cut.totalizer(&lits, 4);
+        // Uncut, each of the six tree levels has 64 outputs in all; cut at 4,
+        // no node has more than 4.
+        assert_eq!((full.num_vars() - 64, full.num_clauses()), (384, 2400));
+        assert_eq!((cut.num_vars() - 64, cut.num_clauses()), (188, 434));
     }
 
     #[test]

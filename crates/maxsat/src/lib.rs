@@ -9,11 +9,14 @@
 //!
 //! * [`CnfBuilder`] — variables, clauses, XOR-tree encoding and totalizer cardinality
 //!   encoding ([`encode`]),
-//! * [`Solver`] — a CDCL SAT solver with watched literals, first-UIP clause learning,
-//!   activity-based branching and restarts ([`solver`]),
-//! * [`MaxSatSolver`] — linear-search (LSU) MaxSAT on top of the SAT solver, with
-//!   deterministic conflict budgets ([`SolveBudget`]) and model-size statistics
-//!   matching the columns of the paper's Table 2 ([`maxsat`]).
+//! * [`Solver`] — an incremental CDCL SAT solver with blocker-literal watches,
+//!   first-UIP clause learning, heap-ordered activity branching, phase saving and
+//!   restarts; variables and clauses may be added between solves ([`solver`]),
+//! * [`MaxSatSolver`] — unweighted partial MaxSAT (unit soft clauses) by linear search
+//!   (LSU) on one incremental SAT solver per solve, bounding the violated softs with a
+//!   totalizer cut at the first model's cost, with deterministic conflict budgets
+//!   ([`SolveBudget`]) and model-size statistics matching the columns of the paper's
+//!   Table 2 ([`maxsat`]).
 //!
 //! Termination is deterministic by construction: budgets are measured in SAT-solver
 //! conflicts, never wall-clock time, so the same instance with the same budget

@@ -1,11 +1,18 @@
 //! Linear-search (LSU) MaxSAT on top of the CDCL solver.
 //!
 //! PropHunt's minimum-weight logical-error models use unit soft clauses only (each error
-//! variable prefers to be false), so unweighted MaxSAT with a cardinality bound over the
-//! violated softs is exactly what is needed. The driver repeatedly solves the hard
-//! formula augmented with "at most `cost − 1` violated softs" until it proves optimality
-//! or exhausts its conflict budget — the same upper-bounding strategy Loandra's
-//! linear search uses.
+//! variable prefers to be false), so unweighted partial MaxSAT with a cardinality bound
+//! over the violated softs is exactly what is needed. The search repeatedly solves the
+//! hard formula augmented with "at most `cost − 1` violated softs" until it proves
+//! optimality or exhausts its conflict budget — the same upper-bounding strategy
+//! Loandra's linear search uses.
+//!
+//! One incremental [`Solver`] serves a whole solve. The first call sees the hard clauses
+//! alone; the first model's cost `c` sizes a totalizer over the violation indicators,
+//! cut at `c` (no count above `c` is ever asked for), and each later bound is one unit
+//! clause on a totalizer output. Learnt clauses, activities and phases survive from
+//! bound to bound. Nothing is shared between solves, so a solve stays a pure function
+//! of the instance and its budget.
 //!
 //! Termination is governed by a deterministic [`SolveBudget`] measured in SAT-solver
 //! conflicts, never by wall-clock time: the same instance with the same budget performs
@@ -14,7 +21,7 @@
 //! through the fixed [`CONFLICTS_PER_BUDGET_SECOND`] exchange rate.
 
 use crate::cnf::{CnfBuilder, Lit, Var};
-use crate::solver::{SolveBudget, SolveResult};
+use crate::solver::{SolveBudget, SolveResult, Solver};
 use std::time::{Duration, Instant};
 
 /// Exchange rate used to map a wall-clock `Duration` budget onto a deterministic
@@ -39,7 +46,10 @@ pub fn duration_to_conflicts(budget: Duration) -> u64 {
 /// Table 2 (variables, hard clauses, soft clauses, wall-clock time).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaxSatStats {
-    /// Total number of variables in the final CNF (including auxiliaries).
+    /// Total number of variables in the solver at the end of the solve: the hard
+    /// formula's (error variables and XOR-tree auxiliaries) plus the totalizer cut at
+    /// the first model's cost. The paper-style model sizes of Table 2 come from
+    /// `subgraph_model_size` / `global_model_size` in the `prophunt` crate instead.
     pub num_variables: usize,
     /// Number of hard clauses (before cardinality strengthening clauses are added).
     pub num_hard_clauses: usize,
@@ -51,7 +61,7 @@ pub struct MaxSatStats {
     pub wall_time: Duration,
     /// Total conflicts across all SAT calls (search effort proxy).
     pub conflicts: u64,
-    /// Number of SAT-solver invocations performed by the linear search.
+    /// Number of SAT calls performed by the linear search (all on one solver).
     pub iterations: usize,
 }
 
@@ -158,29 +168,23 @@ impl MaxSatSolver {
 
     /// Solves the instance within an explicit deterministic conflict budget.
     ///
-    /// The budget is shared across all SAT calls of the linear search: each
-    /// iteration receives whatever remains after the conflicts already spent, so the
-    /// whole MaxSAT solve — not just each inner SAT call — is bounded and
-    /// reproducible.
+    /// One [`Solver`] serves the whole linear search. The first SAT call sees
+    /// the hard clauses alone; the first model's cost `c` then sizes a
+    /// totalizer over the soft-violation indicators, cut at `c`, which is
+    /// added to the same solver. After every model of cost `c' > 0` a single
+    /// unit clause "at most `c' − 1` violated softs" tightens the bound, so
+    /// learnt clauses, activities and saved phases carry over from call to
+    /// call. The budget is shared across all calls: each receives whatever
+    /// remains after the conflicts already spent, so the whole MaxSAT solve —
+    /// not just each inner SAT call — is bounded and reproducible.
     pub fn solve_budget(&mut self, budget: SolveBudget) -> MaxSatOutcome {
         // lint: allow(no-wall-clock) — timing-only: feeds the wall_time stat for
         // Table 2 reporting; termination is decided purely by the conflict budget.
         let start = Instant::now();
-        let num_hard_clauses = self.hard.num_clauses();
-        let num_soft_clauses = self.soft.len();
-        let mut conflicts = 0u64;
+        let mut solver = self.hard.build_solver();
         let mut iterations = 0usize;
-
-        // Build the working formula: hard clauses + totalizer over soft-violation
-        // indicators. The totalizer outputs let the linear search tighten the bound by
-        // adding a single unit clause per iteration.
-        let mut formula = self.hard.clone();
-        let violation_outputs: Option<Vec<Lit>> = if self.soft.is_empty() {
-            None
-        } else {
-            let violated: Vec<Lit> = self.soft.iter().map(|&l| !l).collect();
-            Some(formula.totalizer(&violated))
-        };
+        // Totalizer outputs over the violated softs, built after the first model.
+        let mut violation_outputs: Vec<Lit> = Vec::new();
 
         let cost_of = |model: &[bool]| -> usize {
             self.soft
@@ -190,9 +194,8 @@ impl MaxSatSolver {
         };
 
         let mut best: Option<(Vec<bool>, usize)> = None;
-        let mut bounds: Vec<Lit> = Vec::new();
         let outcome = loop {
-            let remaining = budget.minus(conflicts);
+            let remaining = budget.minus(solver.num_conflicts());
             if iterations > 0 && remaining.is_exhausted() {
                 break match best.take() {
                     Some((model, cost)) => MaxSatOutcome::Feasible { model, cost },
@@ -200,26 +203,23 @@ impl MaxSatSolver {
                 };
             }
             iterations += 1;
-            let mut working = formula.clone();
-            for &b in &bounds {
-                working.add_unit(b);
-            }
-            let mut solver = working.build_solver();
-            let result = solver.solve(remaining);
-            conflicts += solver.num_conflicts();
-            match result {
+            match solver.solve(remaining) {
                 SolveResult::Sat(model) => {
                     let cost = cost_of(&model);
-                    best = Some((model, cost));
+                    assert!(
+                        best.as_ref().is_none_or(|(_, bound)| cost < *bound),
+                        "each model must beat the bound asserted before the call"
+                    );
                     if cost == 0 {
-                        let (model, cost) = best.expect("just set");
                         break MaxSatOutcome::Optimal { model, cost };
                     }
-                    // Strengthen: at most cost - 1 violations.
-                    let outputs = violation_outputs
-                        .as_ref()
-                        .expect("soft clauses exist when cost > 0");
-                    bounds.push(!outputs[cost - 1]);
+                    if violation_outputs.is_empty() {
+                        violation_outputs = self.add_totalizer(&mut solver, cost);
+                    }
+                    // Strengthen: at most cost - 1 violations. A conflict here
+                    // leaves the solver unsatisfiable, which the next call reports.
+                    solver.add_clause(&[!violation_outputs[cost - 1]]);
+                    best = Some((model, cost));
                 }
                 SolveResult::Unsat => {
                     break match best.take() {
@@ -237,14 +237,32 @@ impl MaxSatSolver {
         };
 
         self.last_stats = Some(MaxSatStats {
-            num_variables: formula.num_vars(),
-            num_hard_clauses,
-            num_soft_clauses,
+            num_variables: solver.num_vars(),
+            num_hard_clauses: self.hard.num_clauses(),
+            num_soft_clauses: self.soft.len(),
             wall_time: start.elapsed(),
-            conflicts,
+            conflicts: solver.num_conflicts(),
             iterations,
         });
         outcome
+    }
+
+    /// Adds a totalizer over the soft-violation indicators, cut at `limit`, to
+    /// `solver` and returns its outputs.
+    fn add_totalizer(&self, solver: &mut Solver, limit: usize) -> Vec<Lit> {
+        // Encode into an empty formula over the same variables, then move the
+        // new variables and clauses into the solver.
+        let mut encoding = CnfBuilder::new();
+        encoding.new_vars(solver.num_vars());
+        let violated: Vec<Lit> = self.soft.iter().map(|&l| !l).collect();
+        let outputs = encoding.totalizer(&violated, limit);
+        while solver.num_vars() < encoding.num_vars() {
+            solver.add_var();
+        }
+        for clause in encoding.clauses() {
+            solver.add_clause(clause);
+        }
+        outputs
     }
 }
 
@@ -324,33 +342,43 @@ mod tests {
 
     #[test]
     fn random_instances_match_brute_force_optimum() {
+        // First with every soft preferring its variable false (the PropHunt form),
+        // then with random polarities, where the solver's all-false starting phases
+        // make the first model far from optimal and the linear search must walk
+        // down several bounds on the one solver.
         let mut rng = StdRng::seed_from_u64(99);
-        for case in 0..30 {
-            let num_vars = rng.gen_range(3..8);
-            let mut b = CnfBuilder::new();
-            let vars = b.new_vars(num_vars);
-            let mut clauses = Vec::new();
-            for _ in 0..rng.gen_range(2..10) {
-                let len = rng.gen_range(1..=3);
-                let clause: Vec<Lit> = (0..len)
-                    .map(|_| Lit::new(vars[rng.gen_range(0..num_vars)], rng.gen_bool(0.5)))
-                    .collect();
-                b.add_clause(&clause);
-                clauses.push(clause);
-            }
-            let soft: Vec<Lit> = vars.iter().map(|v| v.negative()).collect();
-            let expected = brute_force_optimum(num_vars, &clauses, &soft);
-            let mut solver = MaxSatSolver::new(b);
-            for v in &vars {
-                solver.add_soft_false(*v);
-            }
-            let outcome = solver.solve(Duration::from_secs(5));
-            match expected {
-                Some(opt) => {
-                    assert!(outcome.is_optimal(), "case {case}: expected optimal");
-                    assert_eq!(outcome.cost(), Some(opt), "case {case}: wrong optimum");
+        for mixed in [false, true] {
+            for case in 0..30 {
+                let num_vars = rng.gen_range(3..8);
+                let mut b = CnfBuilder::new();
+                let vars = b.new_vars(num_vars);
+                let mut clauses = Vec::new();
+                for _ in 0..rng.gen_range(2..10) {
+                    let len = rng.gen_range(1..=3);
+                    let clause: Vec<Lit> = (0..len)
+                        .map(|_| Lit::new(vars[rng.gen_range(0..num_vars)], rng.gen_bool(0.5)))
+                        .collect();
+                    b.add_clause(&clause);
+                    clauses.push(clause);
                 }
-                None => assert_eq!(outcome, MaxSatOutcome::Unsatisfiable, "case {case}"),
+                let soft: Vec<Lit> = vars
+                    .iter()
+                    .map(|&v| Lit::new(v, mixed && rng.gen_bool(0.5)))
+                    .collect();
+                let expected = brute_force_optimum(num_vars, &clauses, &soft);
+                let mut solver = MaxSatSolver::new(b);
+                for &l in &soft {
+                    solver.add_soft(l);
+                }
+                let outcome = solver.solve(Duration::from_secs(5));
+                let what = format!("case {case} (mixed polarity: {mixed})");
+                match expected {
+                    Some(opt) => {
+                        assert!(outcome.is_optimal(), "{what}: expected optimal");
+                        assert_eq!(outcome.cost(), Some(opt), "{what}: wrong optimum");
+                    }
+                    None => assert_eq!(outcome, MaxSatOutcome::Unsatisfiable, "{what}"),
+                }
             }
         }
     }

@@ -1,14 +1,18 @@
 //! A CDCL (conflict-driven clause learning) SAT solver.
 //!
 //! The solver implements the standard modern architecture: two watched literals per
-//! clause, first-UIP conflict analysis with clause learning, exponential variable
-//! activity (VSIDS-style) with phase saving, and geometric restarts. It is deliberately
+//! clause (each watch carrying a blocker literal), first-UIP conflict analysis with
+//! clause learning, exponential variable activity (VSIDS-style) kept in a heap, phase
+//! saving, and geometric restarts. It is incremental: variables and clauses may be
+//! added at decision level 0 between [`Solver::solve`] calls, and learnt clauses,
+//! activities and saved phases carry over, which is how the MaxSAT linear search
+//! tightens its bound without rebuilding the solver. It is deliberately
 //! compact — the MaxSAT models PropHunt produces for ambiguous subgraphs have a few
 //! hundred variables and around a thousand clauses (Table 2 of the paper), far below the
 //! sizes where a highly tuned solver would matter. The *global* circuit-level models are
 //! intentionally allowed to time out, exactly as they do in the paper.
 
-use crate::cnf::Lit;
+use crate::cnf::{Lit, Var};
 
 /// A deterministic search-effort budget for a [`Solver::solve`] call.
 ///
@@ -78,18 +82,147 @@ struct Clause {
     lits: Vec<Lit>,
 }
 
-/// A CDCL SAT solver over a fixed set of variables.
+/// A watch-list entry: the watching clause plus a *blocker*, another literal
+/// of that clause. When the blocker is already true the clause is satisfied
+/// and propagation skips it without touching the clause itself.
+#[derive(Debug, Clone, Copy)]
+struct Watcher {
+    clause: usize,
+    blocker: Lit,
+}
+
+fn value_in(assign: &[i8], lit: Lit) -> i8 {
+    let v = assign[lit.var().index()];
+    if lit.is_positive() {
+        v
+    } else {
+        -v
+    }
+}
+
+/// Marks a variable that is not in the [`VarOrder`] heap.
+const NOT_IN_HEAP: usize = usize::MAX;
+
+/// The branching order: a binary max-heap of variables keyed by activity,
+/// ties broken toward the lower index.
 ///
-/// Clauses are added with [`Solver::add_clause`]; [`Solver::solve`] runs the search
-/// within a deterministic conflict budget. The solver can be reused for repeated solves only by
-/// rebuilding it (the MaxSAT driver rebuilds per iteration, which is cheap at the model
-/// sizes involved).
+/// It holds every unassigned variable (assigned ones are dropped lazily when
+/// they reach the top), so popping the first unassigned variable picks
+/// exactly the variable a full scan for "highest activity, then lowest index"
+/// would pick.
+#[derive(Debug, Default)]
+struct VarOrder {
+    heap: Vec<u32>,
+    pos: Vec<usize>, // var -> heap slot, or NOT_IN_HEAP
+}
+
+impl VarOrder {
+    fn before(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    /// Registers a new variable and inserts it.
+    fn push_var(&mut self, activity: &[f64]) {
+        let v = self.pos.len() as u32;
+        self.pos.push(NOT_IN_HEAP);
+        self.insert(v, activity);
+    }
+
+    fn insert(&mut self, v: u32, activity: &[f64]) {
+        if self.pos[v as usize] != NOT_IN_HEAP {
+            return;
+        }
+        self.pos[v as usize] = self.heap.len();
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    /// Restores the heap after `v`'s activity grew.
+    fn increased(&mut self, v: u32, activity: &[f64]) {
+        let i = self.pos[v as usize];
+        if i != NOT_IN_HEAP {
+            self.sift_up(i, activity);
+        }
+    }
+
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("heap is nonempty");
+        self.pos[top as usize] = NOT_IN_HEAP;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Re-heapifies after activities were rescaled (rounding can create ties,
+    /// which the index tie-break then orders differently).
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::before(activity, v, self.heap[parent]) {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            self.pos[self.heap[i] as usize] = i;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !Self::before(activity, self.heap[child], v) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.pos[self.heap[i] as usize] = i;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i;
+    }
+}
+
+/// An incremental CDCL SAT solver.
+///
+/// Clauses are added with [`Solver::add_clause`] and variables with
+/// [`Solver::add_var`]; [`Solver::solve`] runs the search within a deterministic
+/// conflict budget. Every solve returns at decision level 0, so more variables and
+/// clauses may be added before the next solve: the formula only grows, and the
+/// next call searches the extended formula with everything learnt so far (the MaxSAT
+/// linear search adds one bound clause per call this way). A call that ran out of budget
+/// resumes where it stopped.
 #[derive(Debug)]
 pub struct Solver {
     num_vars: usize,
     clauses: Vec<Clause>,
-    watches: Vec<Vec<usize>>, // literal index -> clause indices watching that literal
-    assign: Vec<i8>,          // var -> UNASSIGNED / TRUE / FALSE
+    watches: Vec<Vec<Watcher>>, // literal index -> clauses watching that literal
+    assign: Vec<i8>,            // var -> UNASSIGNED / TRUE / FALSE
     level: Vec<u32>,
     reason: Vec<Option<usize>>,
     trail: Vec<Lit>,
@@ -97,7 +230,9 @@ pub struct Solver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
+    order: VarOrder,
     phase: Vec<bool>,
+    seen: Vec<bool>, // work buffer of `analyze`, all false between calls
     ok: bool,
     conflicts: u64,
 }
@@ -105,22 +240,45 @@ pub struct Solver {
 impl Solver {
     /// Creates a solver over `num_vars` variables with no clauses.
     pub fn new(num_vars: usize) -> Self {
-        Solver {
-            num_vars,
+        let mut solver = Solver {
+            num_vars: 0,
             clauses: Vec::new(),
-            watches: vec![Vec::new(); num_vars * 2],
-            assign: vec![UNASSIGNED; num_vars],
-            level: vec![0; num_vars],
-            reason: vec![None; num_vars],
+            watches: Vec::with_capacity(num_vars * 2),
+            assign: Vec::with_capacity(num_vars),
+            level: Vec::with_capacity(num_vars),
+            reason: Vec::with_capacity(num_vars),
             trail: Vec::with_capacity(num_vars),
             trail_lim: Vec::new(),
             qhead: 0,
-            activity: vec![0.0; num_vars],
+            activity: Vec::with_capacity(num_vars),
             var_inc: 1.0,
-            phase: vec![false; num_vars],
+            order: VarOrder::default(),
+            phase: Vec::with_capacity(num_vars),
+            seen: Vec::with_capacity(num_vars),
             ok: true,
             conflicts: 0,
+        };
+        for _ in 0..num_vars {
+            solver.add_var();
         }
+        solver
+    }
+
+    /// Adds a fresh unassigned variable and returns it. Allowed at any time
+    /// between solves.
+    pub fn add_var(&mut self) -> Var {
+        let v = Var(self.num_vars as u32);
+        self.num_vars += 1;
+        self.watches.push(Vec::new());
+        self.watches.push(Vec::new());
+        self.assign.push(UNASSIGNED);
+        self.level.push(0);
+        self.reason.push(None);
+        self.activity.push(0.0);
+        self.phase.push(false);
+        self.seen.push(false);
+        self.order.push_var(&self.activity);
+        v
     }
 
     /// Returns the number of variables.
@@ -134,21 +292,15 @@ impl Solver {
     }
 
     fn lit_value(&self, lit: Lit) -> i8 {
-        let v = self.assign[lit.var().index()];
-        if v == UNASSIGNED {
-            UNASSIGNED
-        } else if lit.is_positive() {
-            v
-        } else {
-            -v
-        }
+        value_in(&self.assign, lit)
     }
 
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
     }
 
-    /// Adds a clause. Returns `false` if the formula became trivially unsatisfiable.
+    /// Adds a clause, before the first solve or between solves (both at decision
+    /// level 0). Returns `false` if the formula became trivially unsatisfiable.
     ///
     /// # Panics
     ///
@@ -157,7 +309,7 @@ impl Solver {
         assert_eq!(
             self.decision_level(),
             0,
-            "clauses must be added before solving"
+            "clauses may be added only at decision level 0, between solves"
         );
         if !self.ok {
             return false;
@@ -191,10 +343,7 @@ impl Solver {
                 true
             }
             _ => {
-                let idx = self.clauses.len();
-                self.watches[clause[0].index()].push(idx);
-                self.watches[clause[1].index()].push(idx);
-                self.clauses.push(Clause { lits: clause });
+                self.attach(clause);
                 true
             }
         }
@@ -216,6 +365,22 @@ impl Solver {
         }
     }
 
+    /// Stores a clause of two or more literals and watches its first two;
+    /// returns its index.
+    fn attach(&mut self, lits: Vec<Lit>) -> usize {
+        let clause = self.clauses.len();
+        self.watches[lits[0].index()].push(Watcher {
+            clause,
+            blocker: lits[1],
+        });
+        self.watches[lits[1].index()].push(Watcher {
+            clause,
+            blocker: lits[0],
+        });
+        self.clauses.push(Clause { lits });
+        clause
+    }
+
     /// Unit propagation; returns the index of a conflicting clause if one is found.
     fn propagate(&mut self) -> Option<usize> {
         while self.qhead < self.trail.len() {
@@ -223,43 +388,55 @@ impl Solver {
             self.qhead += 1;
             let falsified = !lit;
             let mut watchers = std::mem::take(&mut self.watches[falsified.index()]);
+            // Kept watchers are compacted into `watchers[..kept]`.
+            let mut kept = 0;
             let mut i = 0;
+            let mut conflict = None;
             while i < watchers.len() {
-                let ci = watchers[i];
-                // Ensure the falsified literal is in position 1.
-                if self.clauses[ci].lits[0] == falsified {
-                    self.clauses[ci].lits.swap(0, 1);
+                let w = watchers[i];
+                i += 1;
+                if value_in(&self.assign, w.blocker) == TRUE {
+                    watchers[kept] = w;
+                    kept += 1;
+                    continue;
                 }
-                let first = self.clauses[ci].lits[0];
-                if self.lit_value(first) == TRUE {
-                    i += 1;
+                let lits = &mut self.clauses[w.clause].lits;
+                // Ensure the falsified literal is in position 1.
+                if lits[0] == falsified {
+                    lits.swap(0, 1);
+                }
+                let first = lits[0];
+                let keep = Watcher {
+                    clause: w.clause,
+                    blocker: first,
+                };
+                if first != w.blocker && value_in(&self.assign, first) == TRUE {
+                    watchers[kept] = keep;
+                    kept += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    let cand = self.clauses[ci].lits[k];
-                    if self.lit_value(cand) != FALSE {
-                        self.clauses[ci].lits.swap(1, k);
-                        self.watches[cand.index()].push(ci);
-                        watchers.swap_remove(i);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                if let Some(k) = (2..lits.len()).find(|&k| value_in(&self.assign, lits[k]) != FALSE)
+                {
+                    lits.swap(1, k);
+                    self.watches[lits[1].index()].push(keep);
                     continue;
                 }
                 // Clause is unit or conflicting.
-                if !self.enqueue(first, Some(ci)) {
-                    // Conflict: restore remaining watchers and report.
-                    self.watches[falsified.index()] = watchers;
-                    self.qhead = self.trail.len();
-                    return Some(ci);
+                watchers[kept] = keep;
+                kept += 1;
+                if !self.enqueue(first, Some(w.clause)) {
+                    conflict = Some(w.clause);
+                    break;
                 }
-                i += 1;
             }
+            // Drop the moved watchers; any not visited because of a conflict stay.
+            watchers.drain(kept..i);
             self.watches[falsified.index()] = watchers;
+            if conflict.is_some() {
+                self.qhead = self.trail.len();
+                return conflict;
+            }
         }
         None
     }
@@ -271,6 +448,9 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(var as u32, &self.activity);
         }
     }
 
@@ -282,7 +462,6 @@ impl Solver {
     /// and the backtrack level.
     fn analyze(&mut self, confl: usize) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for the asserting literal
-        let mut seen = vec![false; self.num_vars];
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = Some(confl);
@@ -294,8 +473,8 @@ impl Solver {
             for k in start..self.clauses[clause].lits.len() {
                 let q = self.clauses[clause].lits[k];
                 let v = q.var().index();
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
                     self.bump(v);
                     if self.level[v] == self.decision_level() {
                         counter += 1;
@@ -307,13 +486,13 @@ impl Solver {
             // Select the next literal from the trail to resolve on.
             loop {
                 index -= 1;
-                if seen[self.trail[index].var().index()] {
+                if self.seen[self.trail[index].var().index()] {
                     break;
                 }
             }
             let lit = self.trail[index];
             let v = lit.var().index();
-            seen[v] = false;
+            self.seen[v] = false;
             counter -= 1;
             p = Some(lit);
             if counter == 0 {
@@ -322,6 +501,10 @@ impl Solver {
             confl = self.reason[v];
         }
         learnt[0] = !p.expect("first UIP exists");
+        // Current-level marks were cleared while resolving; clear the rest.
+        for l in &learnt[1..] {
+            self.seen[l.var().index()] = false;
+        }
         // Backtrack level: highest level among the non-asserting literals.
         let mut bt = 0u32;
         let mut swap_idx = 1usize;
@@ -338,7 +521,14 @@ impl Solver {
         (learnt, bt)
     }
 
+    /// Undoes every assignment above `level`. Below the current level the
+    /// trail is fully propagated, so propagation resumes at the cut; at the
+    /// current level nothing changes, which keeps a unit learnt at level 0
+    /// queued when the budget stops a solve right after learning it.
     fn backtrack(&mut self, level: u32) {
+        if self.decision_level() <= level {
+            return;
+        }
         while self.decision_level() > level {
             let lim = self.trail_lim.pop().expect("level > 0");
             while self.trail.len() > lim {
@@ -346,21 +536,21 @@ impl Solver {
                 let v = lit.var().index();
                 self.assign[v] = UNASSIGNED;
                 self.reason[v] = None;
+                self.order.insert(v as u32, &self.activity);
             }
         }
         self.qhead = self.trail.len();
     }
 
+    /// Picks the unassigned variable of highest activity (lowest index on
+    /// ties) and its saved phase.
     fn decide(&mut self) -> Option<Lit> {
-        let mut best: Option<usize> = None;
-        for v in 0..self.num_vars {
-            if self.assign[v] == UNASSIGNED
-                && best.is_none_or(|b| self.activity[v] > self.activity[b])
-            {
-                best = Some(v);
+        while let Some(v) = self.order.pop(&self.activity) {
+            if self.assign[v as usize] == UNASSIGNED {
+                return Some(Lit::new(Var(v), self.phase[v as usize]));
             }
         }
-        best.map(|v| Lit::new(crate::cnf::Var(v as u32), self.phase[v]))
+        None
     }
 
     /// Runs the CDCL search, bounded by a deterministic conflict budget.
@@ -402,10 +592,7 @@ impl Solver {
                     let ok = self.enqueue(asserting, None);
                     debug_assert!(ok, "asserting unit must be enqueueable after backtrack");
                 } else {
-                    let idx = self.clauses.len();
-                    self.watches[learnt[0].index()].push(idx);
-                    self.watches[learnt[1].index()].push(idx);
-                    self.clauses.push(Clause { lits: learnt });
+                    let idx = self.attach(learnt);
                     let ok = self.enqueue(asserting, Some(idx));
                     debug_assert!(ok, "asserting literal must be enqueueable after backtrack");
                 }
@@ -438,7 +625,7 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cnf::{CnfBuilder, Var};
+    use crate::cnf::CnfBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -516,37 +703,16 @@ mod tests {
         for case in 0..60 {
             let num_vars = rng.gen_range(3..10);
             let num_clauses = rng.gen_range(3..(num_vars * 5));
+            let clauses: Vec<Vec<Lit>> = (0..num_clauses)
+                .map(|_| random_clause(&mut rng, num_vars))
+                .collect();
             let mut builder = CnfBuilder::new();
-            let vars = builder.new_vars(num_vars);
-            let mut clauses = Vec::new();
-            for _ in 0..num_clauses {
-                let len = rng.gen_range(1..=3);
-                let mut clause = Vec::new();
-                for _ in 0..len {
-                    let v = vars[rng.gen_range(0..num_vars)];
-                    clause.push(Lit::new(v, rng.gen_bool(0.5)));
-                }
-                builder.add_clause(&clause);
-                clauses.push(clause);
+            builder.new_vars(num_vars);
+            for clause in &clauses {
+                builder.add_clause(clause);
             }
-            let mut solver = builder.build_solver();
-            let expected = brute_force_sat(num_vars, &clauses);
-            let result = solver.solve(SolveBudget::Unlimited);
-            match (&result, expected) {
-                (SolveResult::Sat(model), true) => {
-                    // Verify the model actually satisfies every clause.
-                    for clause in &clauses {
-                        assert!(
-                            clause.iter().any(|l| l.apply(model[l.var().index()])),
-                            "case {case}: returned model violates a clause"
-                        );
-                    }
-                }
-                (SolveResult::Unsat, false) => {}
-                other => {
-                    panic!("case {case}: solver said {other:?} but brute force said {expected}")
-                }
-            }
+            let result = builder.build_solver().solve(SolveBudget::Unlimited);
+            assert_matches_brute_force(&result, num_vars, &clauses, &format!("case {case}"));
         }
     }
 
@@ -563,5 +729,174 @@ mod tests {
         s.add_clause(&[!v(0, 1), !v(1, 1)]);
         s.add_clause(&[!v(0, 2), !v(1, 2)]);
         assert!(s.solve(SolveBudget::Unlimited).is_sat());
+    }
+
+    /// Checks `result` against brute force: a model must satisfy every
+    /// clause, and a verdict must agree with exhaustive search.
+    fn assert_matches_brute_force(
+        result: &SolveResult,
+        num_vars: usize,
+        clauses: &[Vec<Lit>],
+        what: &str,
+    ) {
+        let expected = brute_force_sat(num_vars, clauses);
+        match (result, expected) {
+            (SolveResult::Sat(model), true) => {
+                assert_eq!(model.len(), num_vars, "{what}: model length");
+                for clause in clauses {
+                    assert!(
+                        clause.iter().any(|l| l.apply(model[l.var().index()])),
+                        "{what}: returned model violates a clause"
+                    );
+                }
+            }
+            (SolveResult::Unsat, false) => {}
+            other => panic!("{what}: solver said {other:?} but brute force said {expected}"),
+        }
+    }
+
+    fn random_clause(rng: &mut StdRng, num_vars: usize) -> Vec<Lit> {
+        let len = rng.gen_range(1..=3);
+        (0..len)
+            .map(|_| lit(rng.gen_range(0..num_vars) as u32, rng.gen_bool(0.5)))
+            .collect()
+    }
+
+    #[test]
+    fn incremental_solves_agree_with_brute_force() {
+        // One solver per instance: between solves, fresh variables and clauses
+        // over old and new variables are added at level 0. Learnt clauses,
+        // activities and phases carry over; every verdict must still match
+        // exhaustive search over the formula as it stands.
+        let mut rng = StdRng::seed_from_u64(7);
+        for case in 0..80 {
+            let mut num_vars = rng.gen_range(3..=6);
+            let mut solver = Solver::new(num_vars);
+            let mut clauses: Vec<Vec<Lit>> = Vec::new();
+            for _ in 0..rng.gen_range(2..(num_vars * 3)) {
+                let clause = random_clause(&mut rng, num_vars);
+                solver.add_clause(&clause);
+                clauses.push(clause);
+            }
+            for call in 0..6 {
+                let result = solver.solve(SolveBudget::Unlimited);
+                let what = format!("case {case} call {call}");
+                assert_matches_brute_force(&result, num_vars, &clauses, &what);
+                if result == SolveResult::Unsat {
+                    break;
+                }
+                if num_vars < 9 && rng.gen_bool(0.5) {
+                    assert_eq!(solver.add_var(), Var(num_vars as u32));
+                    num_vars += 1;
+                }
+                for _ in 0..rng.gen_range(1..=3) {
+                    let clause = random_clause(&mut rng, num_vars);
+                    solver.add_clause(&clause);
+                    clauses.push(clause);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_solve_cut_by_its_budget_resumes_to_the_brute_force_verdict() {
+        // Random 3-SAT at the satisfiability threshold. Whenever a one-conflict
+        // budget cuts the first call short, calling again on the same solver
+        // must reach the exact verdict, whether the next call is unbounded or
+        // itself limited to one conflict at a time (each call still learns).
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut resumed = 0;
+        for case in 0..40 {
+            let num_vars = 12;
+            let clauses: Vec<Vec<Lit>> = (0..51)
+                .map(|_| {
+                    (0..3)
+                        .map(|_| lit(rng.gen_range(0..num_vars) as u32, rng.gen_bool(0.5)))
+                        .collect()
+                })
+                .collect();
+            for unbounded in [true, false] {
+                let mut solver = Solver::new(num_vars);
+                for clause in &clauses {
+                    solver.add_clause(clause);
+                }
+                if solver.solve(SolveBudget::Conflicts(1)) != SolveResult::Unknown {
+                    continue;
+                }
+                resumed += 1;
+                let result = if unbounded {
+                    solver.solve(SolveBudget::Unlimited)
+                } else {
+                    loop {
+                        let r = solver.solve(SolveBudget::Conflicts(1));
+                        if r != SolveResult::Unknown {
+                            break r;
+                        }
+                    }
+                };
+                let what = format!("case {case} (unbounded resume: {unbounded})");
+                assert_matches_brute_force(&result, num_vars, &clauses, &what);
+            }
+        }
+        assert!(
+            resumed >= 20,
+            "only {resumed} solves were cut by the budget"
+        );
+    }
+
+    #[test]
+    fn models_of_larger_threshold_instances_satisfy_every_clause() {
+        // Too large for brute force, but every model is checked clause by clause:
+        // a watch lost during propagation shows up as a violated clause. Half of
+        // the clauses arrive between solves.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut sat = 0;
+        for case in 0..40 {
+            let num_vars = 40;
+            let clauses: Vec<Vec<Lit>> = (0..170)
+                .map(|_| {
+                    (0..3)
+                        .map(|_| lit(rng.gen_range(0..num_vars) as u32, rng.gen_bool(0.5)))
+                        .collect()
+                })
+                .collect();
+            let mut solver = Solver::new(num_vars);
+            for (half, part) in clauses.chunks(85).enumerate() {
+                for clause in part {
+                    solver.add_clause(clause);
+                }
+                let SolveResult::Sat(model) = solver.solve(SolveBudget::Unlimited) else {
+                    break;
+                };
+                sat += 1;
+                for clause in &clauses[..85 * (half + 1)] {
+                    assert!(
+                        clause.iter().any(|l| l.apply(model[l.var().index()])),
+                        "case {case}: model violates a clause"
+                    );
+                }
+            }
+        }
+        assert!(sat > 40, "only {sat} satisfiable calls");
+    }
+
+    #[test]
+    fn pigeonhole_cut_by_its_budget_resumes_to_unsat() {
+        // 4 pigeons, 3 holes: unsatisfiable, and never refuted in one conflict.
+        let mut s = Solver::new(12);
+        let v = |p: u32, h: u32| lit(p * 3 + h, true);
+        for p in 0..4 {
+            s.add_clause(&[v(p, 0), v(p, 1), v(p, 2)]);
+        }
+        for h in 0..3 {
+            for p1 in 0..4 {
+                for p2 in (p1 + 1)..4 {
+                    s.add_clause(&[!v(p1, h), !v(p2, h)]);
+                }
+            }
+        }
+        assert_eq!(s.solve(SolveBudget::Conflicts(1)), SolveResult::Unknown);
+        assert_eq!(s.num_conflicts(), 1);
+        assert_eq!(s.solve(SolveBudget::Unlimited), SolveResult::Unsat);
     }
 }
