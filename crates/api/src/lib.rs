@@ -73,12 +73,12 @@ pub use job::{
 };
 pub use noise::NoiseSpec;
 pub use search::{SearchJob, SearchOutcome};
-pub use session::{Session, SessionStats};
+pub use session::Session;
 pub use spec::{BasisSelection, Engine, ExperimentSpec, ExperimentSpecBuilder, ScheduleSource};
 
 // Re-export the budget, LER option and strategy types jobs are parameterized by,
 // so downstream users need only this crate.
-pub use prophunt_decoders::{DecodeCache, LerOptions, ShotBudget};
+pub use prophunt_decoders::{LerOptions, ShotBudget};
 pub use prophunt_search::StrategyKind;
 
 // Re-export the observability layer sessions record into.

@@ -10,8 +10,7 @@
 //! Every session carries an enabled `prophunt-obs` registry (shared with its
 //! runtime, the LER kernel and search, so one [`Session::metrics`] snapshot
 //! covers all four layers). Cache accounting lives in the registry as
-//! `session.cache.<kind>.hit` / `.miss` counters plus `session.jobs`;
-//! [`SessionStats`] survives as a thin compatibility view over those counters.
+//! `session.cache.<kind>.hit` / `.miss` counters plus `session.jobs`.
 
 use crate::decoder::DecoderRegistry;
 use crate::error::ApiError;
@@ -52,31 +51,6 @@ fn basis_tag(basis: MemoryBasis) -> u8 {
     }
 }
 
-/// Cache hit/miss counters of a session (observability for sweeps and tests).
-///
-/// Deprecated in favour of the session's `prophunt-obs` registry: the same
-/// numbers live there as `session.cache.<kind>.hit` / `.miss` and
-/// `session.jobs` counters, alongside everything the runtime, the LER kernel and
-/// search record. [`Session::stats`] now rebuilds this struct from a registry
-/// snapshot; prefer [`Session::metrics`] for new code.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Memory experiments built.
-    pub experiments_built: usize,
-    /// Memory-experiment cache hits.
-    pub experiment_hits: usize,
-    /// Detector error models built.
-    pub dems_built: usize,
-    /// Detector-error-model cache hits.
-    pub dem_hits: usize,
-    /// Decoder instances built.
-    pub decoders_built: usize,
-    /// Decoder cache hits.
-    pub decoder_hits: usize,
-    /// Jobs run to completion.
-    pub jobs_run: usize,
-}
-
 /// The stateful execution context of the experiment API. See the module docs.
 pub struct Session {
     runtime: Runtime,
@@ -92,7 +66,7 @@ impl std::fmt::Debug for Session {
         f.debug_struct("Session")
             .field("runtime", self.runtime.config())
             .field("registry", &self.registry)
-            .field("stats", &self.stats())
+            .field("jobs", &self.metrics().counter("session.jobs"))
             .finish_non_exhaustive()
     }
 }
@@ -110,7 +84,7 @@ impl Session {
 
     /// Creates a session recording into a caller-supplied observability handle
     /// (e.g. a registry shared with other sessions). A disabled handle turns the
-    /// session's metrics off wholesale; [`Session::stats`] then reads all zeros.
+    /// session's metrics off wholesale; [`Session::metrics`] then reads empty.
     pub fn with_obs(config: RuntimeConfig, registry: DecoderRegistry, obs: Obs) -> Session {
         Session {
             runtime: Runtime::with_obs(config, obs.clone()),
@@ -157,21 +131,6 @@ impl Session {
     /// (empty when the session was built with a disabled [`Obs`]).
     pub fn metrics(&self) -> Snapshot {
         self.obs.snapshot().unwrap_or_default()
-    }
-
-    /// Returns the cache statistics, rebuilt from the metrics registry
-    /// (`session.cache.<kind>.hit` / `.miss` and `session.jobs` counters).
-    pub fn stats(&self) -> SessionStats {
-        let snap = self.metrics();
-        SessionStats {
-            experiments_built: snap.counter("session.cache.experiment.miss") as usize,
-            experiment_hits: snap.counter("session.cache.experiment.hit") as usize,
-            dems_built: snap.counter("session.cache.dem.miss") as usize,
-            dem_hits: snap.counter("session.cache.dem.hit") as usize,
-            decoders_built: snap.counter("session.cache.decoder.miss") as usize,
-            decoder_hits: snap.counter("session.cache.decoder.hit") as usize,
-            jobs_run: snap.counter("session.jobs") as usize,
-        }
     }
 
     fn experiment_key(spec: &ExperimentSpec, basis: MemoryBasis) -> ExperimentKey {
@@ -281,11 +240,7 @@ impl Session {
     ) -> Result<LerOutcome, ApiError> {
         let span = self.obs.span("job.ler", "job");
         let seed = job.seed.unwrap_or(self.runtime.config().seed);
-        let options = LerOptions {
-            budget: job.budget,
-            seed,
-            cache: job.spec.decode_cache(),
-        };
+        let options = LerOptions::new(job.budget, seed);
         observer(&Event::JobStarted {
             kind: JobKind::Ler,
             label: job.label().to_string(),
@@ -567,23 +522,32 @@ mod tests {
         let spec = d3_spec();
         let job = LerJob::new(spec.clone()).with_budget(ShotBudget::fixed(128));
         let first = session.run_ler_quiet(&job).unwrap();
-        let stats = session.stats();
-        assert_eq!(stats.dems_built, 1);
-        assert_eq!(stats.decoders_built, 1);
+        let snap = session.metrics();
+        assert_eq!(snap.counter("session.cache.dem.miss"), 1);
+        assert_eq!(snap.counter("session.cache.decoder.miss"), 1);
         let second = session.run_ler_quiet(&job).unwrap();
         assert_eq!(first.combined, second.combined, "cached rerun must agree");
-        let stats = session.stats();
-        assert_eq!(stats.dems_built, 1, "model must be reused");
-        assert_eq!(stats.decoders_built, 1, "decoder must be reused");
-        assert!(stats.dem_hits >= 1 && stats.decoder_hits >= 1);
+        let snap = session.metrics();
+        assert_eq!(
+            snap.counter("session.cache.dem.miss"),
+            1,
+            "model must be reused"
+        );
+        assert_eq!(
+            snap.counter("session.cache.decoder.miss"),
+            1,
+            "decoder must be reused"
+        );
+        assert!(snap.counter("session.cache.dem.hit") >= 1);
+        assert!(snap.counter("session.cache.decoder.hit") >= 1);
         // A different decoder on the same model reuses the DEM but builds a new
         // decoder instance.
         let union = LerJob::new(spec.with_decoder("unionfind")).with_budget(ShotBudget::fixed(128));
         session.run_ler_quiet(&union).unwrap();
-        let stats = session.stats();
-        assert_eq!(stats.dems_built, 1);
-        assert_eq!(stats.decoders_built, 2);
-        assert_eq!(stats.jobs_run, 3);
+        let snap = session.metrics();
+        assert_eq!(snap.counter("session.cache.dem.miss"), 1);
+        assert_eq!(snap.counter("session.cache.decoder.miss"), 2);
+        assert_eq!(snap.counter("session.jobs"), 3);
     }
 
     #[test]
@@ -597,9 +561,17 @@ mod tests {
         session
             .run_ler_quiet(&LerJob::new(si).with_budget(ShotBudget::fixed(64)))
             .unwrap();
-        let stats = session.stats();
-        assert_eq!(stats.experiments_built, 1, "experiment shared across noise");
-        assert_eq!(stats.dems_built, 2, "each noise spec gets its own model");
+        let snap = session.metrics();
+        assert_eq!(
+            snap.counter("session.cache.experiment.miss"),
+            1,
+            "experiment shared across noise"
+        );
+        assert_eq!(
+            snap.counter("session.cache.dem.miss"),
+            2,
+            "each noise spec gets its own model"
+        );
     }
 
     #[test]
@@ -728,11 +700,6 @@ mod tests {
         assert_eq!(snap.counter("session.cache.decoder.miss"), 1);
         assert_eq!(snap.counter("session.cache.decoder.hit"), 1);
         assert_eq!(snap.counter("session.jobs"), 2);
-        // The compat view reads the same counters back.
-        let stats = session.stats();
-        assert_eq!(stats.dems_built, 1);
-        assert_eq!(stats.dem_hits, 2);
-        assert_eq!(stats.jobs_run, 2);
         // The shared registry also carries the runtime / LER-engine instruments.
         assert!(snap.counter("ler.shots") >= 256);
         assert!(snap.histogram("job.ler.ns").is_some_and(|h| h.count == 2));
@@ -750,7 +717,6 @@ mod tests {
         let outcome = session.run_ler_quiet(&job).unwrap();
         assert_eq!(outcome.combined.shots, 64);
         assert!(outcome.wall.as_nanos() > 0, "wall clock still measured");
-        assert_eq!(session.stats(), SessionStats::default());
         assert_eq!(session.metrics(), Snapshot::default());
     }
 

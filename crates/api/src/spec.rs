@@ -100,7 +100,6 @@ pub struct ExperimentSpec {
     decoder: String,
     rounds: usize,
     basis: BasisSelection,
-    decode_cache: DecodeCache,
 }
 
 impl ExperimentSpec {
@@ -150,11 +149,11 @@ impl ExperimentSpec {
         self.basis
     }
 
-    /// Returns the syndrome-dedup decode-cache setting (default:
-    /// [`DecodeCache::On`]). Results are bit-identical either way — the knob
-    /// exists for A/B timing and as a belt-and-braces escape hatch.
+    /// Kept for compatibility and always [`DecodeCache::On`]: the LER kernel
+    /// always runs the syndrome-dedup cache. Only the benchmark's replay
+    /// (`perfbench/src/replay.rs`) calls it.
     pub fn decode_cache(&self) -> DecodeCache {
-        self.decode_cache
+        DecodeCache::On
     }
 
     /// Returns a derived spec with a different schedule (revalidated against the
@@ -186,13 +185,6 @@ impl ExperimentSpec {
         spec.decoder = decoder.into();
         spec
     }
-
-    /// Returns a derived spec with a different decode-cache setting.
-    pub fn with_decode_cache(&self, cache: DecodeCache) -> ExperimentSpec {
-        let mut spec = self.clone();
-        spec.decode_cache = cache;
-        spec
-    }
 }
 
 /// Builder for [`ExperimentSpec`]; see [`ExperimentSpec::builder`].
@@ -204,7 +196,6 @@ pub struct ExperimentSpecBuilder {
     decoder: String,
     rounds: usize,
     basis: BasisSelection,
-    decode_cache: DecodeCache,
 }
 
 impl Default for ExperimentSpecBuilder {
@@ -216,7 +207,6 @@ impl Default for ExperimentSpecBuilder {
             decoder: "bposd".to_string(),
             rounds: 3,
             basis: BasisSelection::Z,
-            decode_cache: DecodeCache::On,
         }
     }
 }
@@ -299,14 +289,6 @@ impl ExperimentSpecBuilder {
         self
     }
 
-    /// Sets the syndrome-dedup decode cache (default:
-    /// [`DecodeCache::On`]). Results are bit-identical either way; see
-    /// [`prophunt_decoders::decode_shots_cached`].
-    pub fn decode_cache(mut self, cache: DecodeCache) -> Self {
-        self.decode_cache = cache;
-        self
-    }
-
     /// Resolves and validates the spec.
     ///
     /// # Errors
@@ -344,7 +326,6 @@ impl ExperimentSpecBuilder {
             decoder: self.decoder,
             rounds: self.rounds,
             basis: self.basis,
-            decode_cache: self.decode_cache,
         })
     }
 }
@@ -453,25 +434,5 @@ mod tests {
         assert_eq!(format!("{built:?}"), format!("{plain:?}"));
         assert_eq!(built.decoder(), "bposd");
         assert_eq!(built.decode_cache(), DecodeCache::On);
-    }
-
-    #[test]
-    fn decode_cache_defaults_on_and_derives_like_the_other_knobs() {
-        let spec = ExperimentSpec::builder()
-            .code_family("surface:3")
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(spec.decode_cache(), DecodeCache::On);
-        let off = spec.with_decode_cache(DecodeCache::Off);
-        assert_eq!(off.decode_cache(), DecodeCache::Off);
-        assert_eq!(off.decoder(), spec.decoder());
-        let built = ExperimentSpec::builder()
-            .code_family("surface:3")
-            .unwrap()
-            .decode_cache(DecodeCache::Off)
-            .build()
-            .unwrap();
-        assert_eq!(built.decode_cache(), DecodeCache::Off);
     }
 }

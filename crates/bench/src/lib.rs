@@ -315,22 +315,6 @@ pub fn combined_logical_error_rate(
     seed: u64,
     runtime: &RuntimeConfig,
 ) -> LogicalErrorEstimate {
-    combined_logical_error_rate_with_idle(code, schedule, rounds, p, 0.0, shots, seed, runtime)
-}
-
-/// Estimates the combined logical error rate with an additional idle-error strength
-/// (Figure 15's sensitivity study).
-#[allow(clippy::too_many_arguments)]
-pub fn combined_logical_error_rate_with_idle(
-    code: &CssCode,
-    schedule: &ScheduleSpec,
-    rounds: usize,
-    p: f64,
-    idle: f64,
-    shots: usize,
-    seed: u64,
-    runtime: &RuntimeConfig,
-) -> LogicalErrorEstimate {
     // `seed` acts as this call site's stage label; the runtime's base seed
     // (e.g. PROPHUNT_SEED) rotates the actual stream.
     let mut session = Session::new(*runtime);
@@ -339,47 +323,11 @@ pub fn combined_logical_error_rate_with_idle(
         code,
         schedule,
         rounds,
-        NoiseSpec::Depolarizing { p, idle },
+        NoiseSpec::uniform(p),
         ShotBudget::fixed(shots),
         seed,
     )
     .combined
-}
-
-/// Sweeps the combined logical error rate of one schedule over several physical
-/// error rates through one shared session, returning `(p, estimate)` pairs in
-/// input order.
-///
-/// Each sweep point seeds its Monte-Carlo chunks from `seed` alone, so a sweep
-/// returns the same estimates as pointwise [`combined_logical_error_rate`]
-/// calls.
-pub fn sweep_logical_error_rates(
-    code: &CssCode,
-    schedule: &ScheduleSpec,
-    rounds: usize,
-    ps: &[f64],
-    shots: usize,
-    seed: u64,
-    runtime: &RuntimeConfig,
-) -> Vec<(f64, LogicalErrorEstimate)> {
-    let mut session = Session::new(*runtime);
-    ps.iter()
-        .map(|&p| {
-            (
-                p,
-                run_ler_point(
-                    &mut session,
-                    code,
-                    schedule,
-                    rounds,
-                    NoiseSpec::uniform(p),
-                    ShotBudget::fixed(shots),
-                    seed,
-                )
-                .combined,
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -411,26 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_match_pointwise_estimates_and_preserve_order() {
-        let suite = benchmark_suite(false);
-        let bench = &suite[0];
-        let schedule = ScheduleSpec::coloration(&bench.code);
-        let runtime = RuntimeConfig::new(4, 64, 0);
-        let ps = [2e-3, 8e-3];
-        let sweep = sweep_logical_error_rates(&bench.code, &schedule, 2, &ps, 150, 5, &runtime);
-        assert_eq!(sweep.len(), 2);
-        for ((p, est), expected_p) in sweep.iter().zip(ps) {
-            assert_eq!(*p, expected_p);
-            let point =
-                combined_logical_error_rate(&bench.code, &schedule, 2, *p, 150, 5, &runtime);
-            assert_eq!(
-                est.failures, point.failures,
-                "sweep must match pointwise run"
-            );
-        }
-    }
-
-    #[test]
     fn ler_points_share_experiments_across_noise_and_record_throughput() {
         let suite = benchmark_suite(false);
         let bench = &suite[0];
@@ -454,12 +382,17 @@ mod tests {
             ShotBudget::fixed(128),
             1,
         );
-        let stats = session.stats();
+        let snap = session.metrics();
         assert_eq!(
-            stats.experiments_built, 2,
+            snap.counter("session.cache.experiment.miss"),
+            2,
             "one experiment per basis, shared across the two noise points"
         );
-        assert_eq!(stats.dems_built, 4, "one model per (basis, noise)");
+        assert_eq!(
+            snap.counter("session.cache.dem.miss"),
+            4,
+            "one model per (basis, noise)"
+        );
         // The recorded outcome carries the throughput fields for BENCH_*.jsonl.
         let record = a.to_record("point");
         let ReportRecord::Ler { wall_s, .. } = record else {

@@ -588,36 +588,6 @@ impl DemSampler {
         (d, o)
     }
 
-    /// Samples one shot into caller-provided buffers, avoiding the per-shot
-    /// allocations of [`DemSampler::sample`].
-    ///
-    /// Draws exactly the same RNG stream as [`DemSampler::sample`] (one
-    /// [`Rng::gen_bool`] per mechanism, in mechanism order), so a sampler
-    /// advanced through either method produces identical shots. The buffers are
-    /// cleared before sampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dets` / `obs` do not have exactly `num_detectors` /
-    /// `num_observables` bits.
-    pub fn sample_into(&mut self, dets: &mut BitVec, obs: &mut BitVec) {
-        assert_eq!(dets.len(), self.num_detectors, "detector buffer length");
-        assert_eq!(obs.len(), self.num_observables, "observable buffer length");
-        dets.clear();
-        obs.clear();
-        let tables = &self.tables;
-        for (i, &p) in tables.probabilities.iter().enumerate() {
-            if self.rng.gen_bool(p) {
-                for &d in tables.detectors(i) {
-                    dets.flip(d as usize);
-                }
-                for &o in tables.observables(i) {
-                    obs.flip(o as usize);
-                }
-            }
-        }
-    }
-
     /// Samples up to 64 shots at once into detector-major *frame* buffers: bit
     /// `lane` of `det_frames[d]` (resp. `obs_frames[o]`) is detector `d`
     /// (observable `o`) of shot-lane `lane`.
@@ -1288,23 +1258,6 @@ mod tests {
         let mut s = noiseless.sampler(1);
         let (d, o) = s.sample();
         assert!(d.is_zero() && o.is_zero());
-    }
-
-    #[test]
-    fn sample_into_matches_the_allocating_path_shot_for_shot() {
-        let (_, exp) = d3_experiment(3);
-        let dem =
-            DetectorErrorModel::from_experiment(&exp, &NoiseModel::uniform_depolarizing(8e-3));
-        let mut a = dem.sampler(13);
-        let mut b = dem.sampler(13);
-        let mut dets = BitVec::zeros(dem.num_detectors());
-        let mut obs = BitVec::zeros(dem.num_observables());
-        for _ in 0..50 {
-            let (want_d, want_o) = a.sample();
-            b.sample_into(&mut dets, &mut obs);
-            assert_eq!(dets, want_d);
-            assert_eq!(obs, want_o);
-        }
     }
 
     #[test]

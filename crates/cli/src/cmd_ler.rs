@@ -4,9 +4,9 @@
 
 use crate::args::{CliError, Flags};
 use crate::common::{
-    append_records, basis_selection_from_flags, budget_from_flags, decode_cache_from_flags,
-    decoder_from_flags, engine_from_flags, load_code, load_schedule, meta_record, noise_from_flags,
-    read_file, runtime_from_flags, session_from_flags, write_metrics_file, write_trace_files,
+    append_records, basis_selection_from_flags, budget_from_flags, decoder_from_flags,
+    engine_from_flags, load_code, load_schedule, meta_record, noise_from_flags, read_file,
+    runtime_from_flags, session_from_flags, write_metrics_file, write_trace_files,
 };
 use prophunt_api::{ExperimentSpec, LerJob, LerOptions, LerOutcome, ScheduleSource, StopReason};
 use prophunt_formats::parse_dem;
@@ -28,8 +28,6 @@ prophunt ler --code <family-or-spec-file> [--schedule <s>] [options]
   --decoder       decoder name: bposd (default) or unionfind
   --engine        estimation engine: frames, the only one (bit-parallel, 64
                   shots per word); accepted for compatibility, scalar was removed
-  --decode-cache  syndrome-dedup decode cache: on (default) or off;
-                  results are bit-identical either way (A/B timing knob)
   --shots         Monte-Carlo shot cap (default 2000)
   --max-failures  stop at the chunk where this many failures accumulate
   --target-rse    stop at the chunk where the relative standard error drops
@@ -63,7 +61,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             "noise",
             "decoder",
             "engine",
-            "decode-cache",
             "shots",
             "max-failures",
             "target-rse",
@@ -80,7 +77,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let budget = budget_from_flags(&flags, 2000)?;
     let decoder = decoder_from_flags(&flags);
     let engine = engine_from_flags(&flags)?;
-    let decode_cache = decode_cache_from_flags(&flags)?;
     let (mut session, trace) = session_from_flags(&flags, runtime);
 
     let meta = meta_record(&runtime, engine.as_str());
@@ -98,7 +94,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             }
             let dem = parse_dem(&read_file(path)?)
                 .map_err(|e| CliError::failure(format!("{path}: {e}")))?;
-            let options = LerOptions::new(budget, runtime.seed).with_cache(decode_cache);
+            let options = LerOptions::new(budget, runtime.seed);
             let outcome = session
                 .run_ler_on_dem(&dem, &decoder, options, |_| {})
                 .map_err(CliError::failure)?;
@@ -120,7 +116,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
                 .schedule(ScheduleSource::Explicit(schedule))
                 .noise(noise)
                 .decoder(&decoder)
-                .decode_cache(decode_cache)
                 .rounds(rounds)
                 .basis(basis)
                 .build()

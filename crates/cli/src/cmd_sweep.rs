@@ -163,19 +163,19 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    let stats = session.stats();
+    let snap = session.metrics();
     eprintln!(
         "sweep: {} grid points; {} experiments and {} models built ({} model cache hits)",
         codes.len() * ps.len() * decoders.len(),
-        stats.experiments_built,
-        stats.dems_built,
-        stats.dem_hits,
+        snap.counter("session.cache.experiment.miss"),
+        snap.counter("session.cache.dem.miss"),
+        snap.counter("session.cache.dem.hit"),
     );
     if let Some(path) = flags.get("out") {
         append_records(path, &text)?;
     }
     if let Some(path) = flags.get("metrics") {
-        write_metrics_file(path, &meta, &session.metrics())?;
+        write_metrics_file(path, &meta, &snap)?;
     }
     if let Some(sink) = &trace {
         write_trace_files(sink, &meta)?;

@@ -284,16 +284,6 @@ pub fn engine_from_flags(flags: &Flags) -> Result<prophunt_api::Engine, CliError
     }
 }
 
-/// Parses `--decode-cache` into a [`prophunt_api::DecodeCache`] (default on).
-pub fn decode_cache_from_flags(flags: &Flags) -> Result<prophunt_api::DecodeCache, CliError> {
-    match flags.get("decode-cache") {
-        None => Ok(prophunt_api::DecodeCache::On),
-        Some(name) => prophunt_api::DecodeCache::parse(name).ok_or_else(|| {
-            CliError::usage(format!("--decode-cache must be on or off, got {name:?}"))
-        }),
-    }
-}
-
 /// Parses `--basis` into a [`prophunt_api::BasisSelection`] (default Z).
 pub fn basis_selection_from_flags(flags: &Flags) -> Result<prophunt_api::BasisSelection, CliError> {
     use prophunt_api::BasisSelection;

@@ -5,7 +5,7 @@
 //! detector frame and many of the rest repeat a handful of low-weight
 //! syndromes, so a chunk rarely contains as many *distinct* decoding problems
 //! as it contains shots. [`decode_shots_cached`] exploits that in two stacked
-//! layers, both decoder-agnostic:
+//! layers, both decoder-agnostic, and the LER kernel always runs both:
 //!
 //! 1. **Zero-syndrome fast path** — all-zero frames are word-tested
 //!    ([`BitVec::is_zero`], O(words)) and short-circuited to the decoder's
@@ -21,60 +21,25 @@
 //! (and the [`DecodeStats`] tallies) are a pure function of the input shot
 //! sequence, bit-identical at any thread count. The strict batch contract
 //! (`output[i] == decoder.decode(&shots[i])` for every `i`) is preserved by
-//! construction and pinned by the engine-parity tests and the in-bin
+//! construction and pinned against the plain [`Decoder::decode_batch`]
+//! reference ([`DecodeCache::Off`]) by the engine-parity tests and the in-bin
 //! `frame_bench` parity assert.
 
 use crate::Decoder;
 use prophunt_gf2::BitVec;
 use std::collections::HashMap;
 
-/// Whether the batch decode pipeline may use the zero-syndrome fast path and
-/// the per-chunk syndrome-dedup cache.
+/// Which side of the parity check [`decode_shots_cached`] runs: the cached
+/// pipeline or its plain reference.
 ///
-/// The cache is bit-identity-preserving by construction, so this knob exists
-/// to make that claim *checkable* (CI compares failure counts both ways) and
-/// to provide a reference timing path; [`DecodeCache::On`] is the default
-/// everywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The LER kernel always runs [`DecodeCache::On`]; [`DecodeCache::Off`] exists
+/// so tests and `frame_bench` can check the cache against the decoder alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeCache {
-    /// Zero fast path + syndrome dedup in front of the decoder (default).
-    #[default]
+    /// Zero fast path + syndrome dedup in front of the decoder.
     On,
     /// Plain [`Decoder::decode_batch`] on every shot (the reference path).
     Off,
-}
-
-impl DecodeCache {
-    /// A stable machine-readable name (used in report records and CLI flags).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            DecodeCache::On => "on",
-            DecodeCache::Off => "off",
-        }
-    }
-
-    /// Parses the name produced by [`DecodeCache::as_str`].
-    pub fn parse(name: &str) -> Option<DecodeCache> {
-        match name {
-            "on" => Some(DecodeCache::On),
-            "off" => Some(DecodeCache::Off),
-            _ => None,
-        }
-    }
-}
-
-impl std::str::FromStr for DecodeCache {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<DecodeCache, String> {
-        DecodeCache::parse(s).ok_or_else(|| format!("unknown decode-cache '{s}' (expected on|off)"))
-    }
-}
-
-impl std::fmt::Display for DecodeCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// Per-call tallies of the batch decode pipeline, the source of the
@@ -82,8 +47,9 @@ impl std::fmt::Display for DecodeCache {
 ///
 /// Every field is a pure function of the input shot sequence (never of the
 /// thread count or the clock). `zero + cache_hits + cache_misses` equals the
-/// shot count when the cache is on; with the cache off only the decoder-side
-/// fields (`bp_converged`, `osd_calls`) are populated.
+/// shot count when the cache is on. [`Decoder::decode_batch`] fills only the
+/// decoder-side fields (`bp_converged`, `osd_calls`), which is all that the
+/// reference path ([`DecodeCache::Off`]) reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecodeStats {
     /// Shots short-circuited by the zero-syndrome fast path.
@@ -116,22 +82,16 @@ const ZERO_LANE: usize = usize::MAX;
 /// prediction per shot (in order) plus the pipeline's [`DecodeStats`].
 ///
 /// With [`DecodeCache::On`] the zero-syndrome fast path and the syndrome-dedup
-/// cache run in front of [`Decoder::decode_batch_with_stats`]; with
-/// [`DecodeCache::Off`] every shot goes straight to the decoder. Both paths
-/// satisfy `output[i] == decoder.decode(&shots[i])` bit-for-bit.
+/// cache run in front of [`Decoder::decode_batch`]; with [`DecodeCache::Off`]
+/// every shot goes straight to the decoder. Both paths satisfy
+/// `output[i] == decoder.decode(&shots[i])` bit-for-bit.
 pub fn decode_shots_cached(
     decoder: &dyn Decoder,
     shots: &[BitVec],
     cache: DecodeCache,
 ) -> (Vec<BitVec>, DecodeStats) {
     if cache == DecodeCache::Off {
-        let (predictions, batch) = decoder.decode_batch_with_stats(shots);
-        let stats = DecodeStats {
-            bp_converged: batch.bp_converged,
-            osd_calls: batch.osd_calls,
-            ..DecodeStats::default()
-        };
-        return (predictions, stats);
+        return decoder.decode_batch(shots);
     }
     let mut stats = DecodeStats::default();
     // assign[i]: ZERO_LANE for zero syndromes, else the index (in
@@ -167,9 +127,8 @@ pub fn decode_shots_cached(
         }
     }
     let distinct_shots: Vec<BitVec> = distinct.iter().map(|&i| shots[i].clone()).collect();
-    let (predictions, batch) = decoder.decode_batch_with_stats(&distinct_shots);
-    stats.bp_converged = batch.bp_converged;
-    stats.osd_calls = batch.osd_calls;
+    let (predictions, decoded) = decoder.decode_batch(&distinct_shots);
+    stats.merge(decoded);
     // The zero correction is itself a pure function of the decoder, computed
     // once per call (decoders short-circuit all-zero syndromes internally, so
     // this is O(observables)).
@@ -206,18 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_cache_names_round_trip_and_default_is_on() {
-        assert_eq!(DecodeCache::default(), DecodeCache::On);
-        for cache in [DecodeCache::On, DecodeCache::Off] {
-            assert_eq!(DecodeCache::parse(cache.as_str()), Some(cache));
-            assert_eq!(cache.as_str().parse::<DecodeCache>(), Ok(cache));
-            assert_eq!(cache.to_string(), cache.as_str());
-        }
-        assert_eq!(DecodeCache::parse("maybe"), None);
-        assert!("maybe".parse::<DecodeCache>().is_err());
-    }
-
-    #[test]
     fn cached_and_uncached_predictions_match_per_shot_decode() {
         let dem = surface_dem(3, 1e-2);
         let decoder = BpOsdDecoder::new(&dem);
@@ -227,7 +174,7 @@ mod tests {
             let (predictions, _) = decode_shots_cached(&decoder, &shots, cache);
             assert_eq!(predictions.len(), shots.len());
             for (i, (shot, prediction)) in shots.iter().zip(&predictions).enumerate() {
-                assert_eq!(&decoder.decode(shot), prediction, "{cache}: shot {i}");
+                assert_eq!(&decoder.decode(shot), prediction, "{cache:?}: shot {i}");
             }
         }
     }

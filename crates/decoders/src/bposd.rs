@@ -1,6 +1,6 @@
 //! Belief propagation with ordered-statistics post-processing (BP+OSD).
 
-use crate::{BatchStats, Decoder};
+use crate::{DecodeStats, Decoder};
 use prophunt_circuit::DetectorErrorModel;
 use prophunt_gf2::BitVec;
 
@@ -783,22 +783,18 @@ impl Decoder for BpOsdDecoder {
         self.observables_of(&errors)
     }
 
-    /// Batch path of the frame engine; see [`Decoder::decode_batch_with_stats`].
-    fn decode_batch(&self, shots: &[BitVec]) -> Vec<BitVec> {
-        self.decode_batch_with_stats(shots).0
-    }
-
     /// Batch path of the frame engine: shots run through the
     /// structure-of-arrays lane-parallel BP core in blocks of
     /// `BP_BLOCK_LANES` (32), with the Tanner-graph layout and the OSD
     /// elimination matrix built once and reused across the whole batch.
     /// All-zero syndromes short-circuit exactly like the per-shot path.
     /// Per-shot results are pinned equal to [`Decoder::decode`] by the
-    /// equality tests in this crate and the `frame_engine` suite tests.
-    fn decode_batch_with_stats(&self, shots: &[BitVec]) -> (Vec<BitVec>, BatchStats) {
+    /// equality tests in this crate and the `frame_engine` suite tests. Fills
+    /// the `bp_converged` and `osd_calls` stats.
+    fn decode_batch(&self, shots: &[BitVec]) -> (Vec<BitVec>, DecodeStats) {
         let mut scratch = BpScratch::new(self);
         let mut block_scratch = BpBlockScratch::default();
-        let mut stats = BatchStats::default();
+        let mut stats = DecodeStats::default();
         let mut out: Vec<BitVec> = Vec::with_capacity(shots.len());
         for block in shots.chunks(BP_BLOCK_LANES) {
             let live: Vec<&BitVec> = block.iter().filter(|shot| !shot.is_zero()).collect();
@@ -920,7 +916,7 @@ mod tests {
         let decoder = BpOsdDecoder::new(&dem);
         let mut sampler = dem.sampler(29);
         let shots: Vec<BitVec> = (0..60).map(|_| sampler.sample().0).collect();
-        let batch = decoder.decode_batch(&shots);
+        let (batch, _) = decoder.decode_batch(&shots);
         assert_eq!(batch.len(), shots.len());
         for (i, (shot, prediction)) in shots.iter().zip(&batch).enumerate() {
             assert_eq!(&decoder.decode(shot), prediction, "shot {i}");
@@ -937,8 +933,7 @@ mod tests {
         let shots: Vec<BitVec> = (0..100).map(|_| sampler.sample().0).collect();
         let nonzero = shots.iter().filter(|s| !s.is_zero()).count();
         assert!(nonzero > 0);
-        let (predictions, stats) = decoder.decode_batch_with_stats(&shots);
-        assert_eq!(predictions, decoder.decode_batch(&shots));
+        let (predictions, stats) = decoder.decode_batch(&shots);
         assert_eq!(stats.bp_converged + stats.osd_calls, nonzero);
         assert!(stats.bp_converged > 0, "some shots should converge in BP");
         for (i, (shot, prediction)) in shots.iter().zip(&predictions).enumerate() {

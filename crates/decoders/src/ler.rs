@@ -188,41 +188,26 @@ pub struct ChunkProgress {
     pub failures: usize,
 }
 
-/// What one estimation run spends and how: the shot budget, the base seed and
-/// the batch pipeline's decode-cache setting.
+/// What one estimation run spends: the shot budget and the base seed.
 ///
-/// `(seed, chunk_size)` fixes the result bit-for-bit; the cache setting never
-/// changes it (every prediction is a pure function of its syndrome), only
-/// wall-clock time and the `ler.decode.*` counters.
+/// `(seed, chunk_size)` fixes the result bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LerOptions {
     /// How many shots to spend, and when to stop early.
     pub budget: ShotBudget,
     /// Base seed; chunk `c` samples from `SeedStream::new(seed).seed_for(c)`.
     pub seed: u64,
-    /// Zero fast path and syndrome-dedup cache in front of the decoder.
-    pub cache: DecodeCache,
 }
 
 impl LerOptions {
-    /// Options with the given budget and seed and the default decode cache
-    /// ([`DecodeCache::On`]).
+    /// Options with the given budget and seed.
     pub fn new(budget: ShotBudget, seed: u64) -> LerOptions {
-        LerOptions {
-            budget,
-            seed,
-            cache: DecodeCache::default(),
-        }
+        LerOptions { budget, seed }
     }
 
     /// Options for exactly `shots` shots ([`ShotBudget::Fixed`]).
     pub fn fixed(shots: usize, seed: u64) -> LerOptions {
         LerOptions::new(ShotBudget::fixed(shots), seed)
-    }
-
-    /// Returns the options with a different decode-cache setting.
-    pub fn with_cache(self, cache: DecodeCache) -> LerOptions {
-        LerOptions { cache, ..self }
     }
 }
 
@@ -251,11 +236,7 @@ pub fn estimate_logical_error_rate(
     runtime: &Runtime,
     observer: &mut dyn FnMut(ChunkProgress),
 ) -> (LogicalErrorEstimate, LerStopReason) {
-    let LerOptions {
-        budget,
-        seed,
-        cache,
-    } = options;
+    let LerOptions { budget, seed } = options;
     let max_shots = budget.max_shots();
     if max_shots == 0 {
         return (LogicalErrorEstimate::ZERO, LerStopReason::ShotsExhausted);
@@ -290,14 +271,7 @@ pub fn estimate_logical_error_rate(
         let results = runtime.run_tasks(wave, |i| {
             let c = done + i;
             let chunk_shots = chunk.min(max_shots - c * chunk);
-            run_chunk(
-                dem,
-                decoder,
-                chunk_shots,
-                stream.seed_for(c as u64),
-                cache,
-                &spans,
-            )
+            run_chunk(dem, decoder, chunk_shots, stream.seed_for(c as u64), &spans)
         });
         for (i, (estimate, decode)) in results.into_iter().enumerate() {
             cumulative = cumulative.combined(estimate);
@@ -361,7 +335,6 @@ fn run_chunk(
     decoder: &dyn Decoder,
     shots: usize,
     seed: u64,
-    cache: DecodeCache,
     spans: &ChunkSpans,
 ) -> (LogicalErrorEstimate, DecodeStats) {
     let mut chunk_span = spans.chunk.start();
@@ -387,7 +360,7 @@ fn run_chunk(
         remaining -= lanes;
     }
     let span = spans.decode.start();
-    let (predictions, decode) = decode_shots_cached(decoder, &det_shots, cache);
+    let (predictions, decode) = decode_shots_cached(decoder, &det_shots, DecodeCache::On);
     span.finish();
     let failures = predictions
         .iter()
@@ -630,21 +603,17 @@ mod tests {
 
     #[test]
     fn frame_engine_failure_counts_are_identical_across_thread_counts() {
-        // The decode cache is a pure fast path: with it on or off, at any
-        // thread count, the counts are the same.
         let dem = surface_dem(3, 8e-3, 3);
         let decoder = BpOsdDecoder::new(&dem);
-        let run = |threads, cache| {
-            let options = LerOptions::fixed(500, 42).with_cache(cache);
+        let run = |threads| {
             let runtime = Runtime::new(RuntimeConfig::new(threads, 64, 0));
+            let options = LerOptions::fixed(500, 42);
             estimate_logical_error_rate(&dem, &decoder, options, &runtime, &mut |_| {}).0
         };
-        let reference = run(1, DecodeCache::On);
+        let reference = run(1);
         assert!(reference.failures > 0, "want a nonzero count to compare");
-        for threads in [1, 2, 8] {
-            for cache in [DecodeCache::On, DecodeCache::Off] {
-                assert_eq!(run(threads, cache), reference, "{threads} threads, {cache}");
-            }
+        for threads in [2, 8] {
+            assert_eq!(run(threads), reference, "{threads} threads");
         }
     }
 
@@ -733,8 +702,8 @@ mod tests {
         assert_eq!(LerStopReason::MaxFailuresReached.as_str(), "max_failures");
         assert_eq!(LerStopReason::TargetRseReached.as_str(), "target_rse");
         let options = LerOptions::fixed(10, 3);
-        assert_eq!(options.cache, DecodeCache::On);
-        assert_eq!(options.with_cache(DecodeCache::Off).seed, 3);
+        assert_eq!(options.budget, ShotBudget::fixed(10));
+        assert_eq!(options.seed, 3);
     }
 
     #[test]

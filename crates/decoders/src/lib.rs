@@ -53,19 +53,6 @@ pub use unionfind::UnionFindDecoder;
 
 use prophunt_gf2::BitVec;
 
-/// Decoder-side tallies for one [`Decoder::decode_batch_with_stats`] call.
-///
-/// Like every deterministic counter in this workspace, the fields are pure
-/// functions of the input shots. Decoders without a BP/OSD split (union-find)
-/// report the default all-zero stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchStats {
-    /// Shots whose BP pass converged (reproduced the syndrome).
-    pub bp_converged: usize,
-    /// Shots that fell through to the OSD post-processor.
-    pub osd_calls: usize,
-}
-
 /// A decoder over a fixed detector error model.
 ///
 /// Given the detector outcomes of one shot, the decoder predicts which logical
@@ -76,27 +63,22 @@ pub trait Decoder: Send + Sync {
     fn decode(&self, detectors: &BitVec) -> BitVec;
 
     /// Predicts the observable flips of a whole batch of shots, one prediction
-    /// per input syndrome, in order.
+    /// per input syndrome, in order, plus the decoder-side [`DecodeStats`].
     ///
     /// The contract is strict equality with the per-shot path: for every `i`,
-    /// `decode_batch(shots)[i] == decode(&shots[i])`. The default
-    /// implementation simply loops [`Decoder::decode`]; decoders with
-    /// per-call scratch ([`BpOsdDecoder`], [`UnionFindDecoder`]) override it
-    /// to build the scratch once and reuse it across the batch, which is where
-    /// the LER kernel's batch-decoding speedup comes from.
-    fn decode_batch(&self, shots: &[BitVec]) -> Vec<BitVec> {
-        shots.iter().map(|s| self.decode(s)).collect()
-    }
-
-    /// [`Decoder::decode_batch`] plus decoder-side [`BatchStats`] tallies.
-    ///
-    /// The predictions obey the exact same strict-equality contract as
-    /// [`Decoder::decode_batch`]; the stats are a pure function of the shots
-    /// (deterministic at any thread count). The default implementation
-    /// returns the plain batch result with all-zero stats; [`BpOsdDecoder`]
-    /// overrides it to report BP convergence and OSD fallback counts.
-    fn decode_batch_with_stats(&self, shots: &[BitVec]) -> (Vec<BitVec>, BatchStats) {
-        (self.decode_batch(shots), BatchStats::default())
+    /// `decode_batch(shots).0[i] == decode(&shots[i])`. The stats are a pure
+    /// function of the shots (deterministic at any thread count); only the
+    /// decoder-side fields (`bp_converged`, `osd_calls`) are filled here, the
+    /// rest belong to [`decode_shots_cached`]. The default implementation loops
+    /// [`Decoder::decode`] and returns all-zero stats. [`UnionFindDecoder`]
+    /// overrides it to reuse one scratch buffer across the batch;
+    /// [`BpOsdDecoder`] runs lane-parallel BP and reports BP convergence and
+    /// OSD fallback counts.
+    fn decode_batch(&self, shots: &[BitVec]) -> (Vec<BitVec>, DecodeStats) {
+        (
+            shots.iter().map(|s| self.decode(s)).collect(),
+            DecodeStats::default(),
+        )
     }
 
     /// Number of detectors the decoder expects per shot.

@@ -1,6 +1,6 @@
 //! A union-find (cluster growth + peeling) decoder for graph-like detector error models.
 
-use crate::Decoder;
+use crate::{DecodeStats, Decoder};
 use prophunt_circuit::DetectorErrorModel;
 use prophunt_gf2::BitVec;
 
@@ -370,13 +370,15 @@ impl Decoder for UnionFindDecoder {
 
     /// Batch path of the frame engine: one scratch allocation for the whole
     /// batch instead of one per shot. Identical to per-shot [`Decoder::decode`]
-    /// because both run `UnionFindDecoder::decode_with_scratch`.
-    fn decode_batch(&self, shots: &[BitVec]) -> Vec<BitVec> {
+    /// because both run `UnionFindDecoder::decode_with_scratch`. Reports
+    /// all-zero stats: union-find has no BP/OSD split.
+    fn decode_batch(&self, shots: &[BitVec]) -> (Vec<BitVec>, DecodeStats) {
         let mut scratch = UfScratch::new(self);
-        shots
+        let predictions = shots
             .iter()
             .map(|shot| self.decode_with_scratch(shot, &mut scratch))
-            .collect()
+            .collect();
+        (predictions, DecodeStats::default())
     }
 
     fn num_detectors(&self) -> usize {
@@ -459,8 +461,9 @@ mod tests {
         let decoder = UnionFindDecoder::new(&dem);
         let mut sampler = dem.sampler(17);
         let shots: Vec<BitVec> = (0..80).map(|_| sampler.sample().0).collect();
-        let batch = decoder.decode_batch(&shots);
+        let (batch, stats) = decoder.decode_batch(&shots);
         assert_eq!(batch.len(), shots.len());
+        assert_eq!(stats, DecodeStats::default());
         for (shot, prediction) in shots.iter().zip(&batch) {
             assert_eq!(&decoder.decode(shot), prediction);
         }

@@ -2,7 +2,7 @@
 
 use crate::ambiguity::{AmbiguousSubgraph, DecodingGraph};
 use prophunt_gf2::BitMatrix;
-use prophunt_maxsat::{CnfBuilder, MaxSatOutcome, MaxSatSolver, MaxSatStats};
+use prophunt_maxsat::{CnfBuilder, MaxSatOutcome, MaxSatSolver, MaxSatStats, Var};
 use std::time::Duration;
 
 /// Which formulation produced a model: the tractable per-subgraph one or the global
@@ -30,13 +30,12 @@ pub struct MinWeightSolution {
     pub stats: MaxSatStats,
 }
 
-/// Builds the MaxSAT model for a set of detectors (rows of `h`) and error columns: hard
-/// XOR constraints forcing every syndrome to zero, a hard constraint that at least one
-/// logical observable is flipped, and unit soft clauses preferring every error off.
-fn build_model(h: &BitMatrix, l: &BitMatrix) -> (MaxSatSolver, Vec<prophunt_maxsat::Var>) {
-    let num_errors = h.num_cols();
+/// Encodes the hard part of the MaxSAT model for a set of detectors (rows of `h`) and
+/// error columns: XOR constraints forcing every syndrome to zero and a clause that at
+/// least one logical observable is flipped. Returns the builder and the error variables.
+fn encode(h: &BitMatrix, l: &BitMatrix) -> (CnfBuilder, Vec<Var>) {
     let mut builder = CnfBuilder::new();
-    let error_vars = builder.new_vars(num_errors);
+    let error_vars = builder.new_vars(h.num_cols());
     // Syndrome parity constraints: every detector's incident errors XOR to false.
     for row in h.rows_iter() {
         let lits: Vec<_> = row.ones().map(|e| error_vars[e].positive()).collect();
@@ -48,12 +47,18 @@ fn build_model(h: &BitMatrix, l: &BitMatrix) -> (MaxSatSolver, Vec<prophunt_maxs
     let mut observable_lits = Vec::new();
     for row in l.rows_iter() {
         let lits: Vec<_> = row.ones().map(|e| error_vars[e].positive()).collect();
-        if lits.is_empty() {
-            continue;
+        if !lits.is_empty() {
+            observable_lits.push(builder.xor_to_lit(&lits));
         }
-        observable_lits.push(builder.xor_to_lit(&lits));
     }
     builder.add_clause(&observable_lits);
+    (builder, error_vars)
+}
+
+/// Builds the MaxSAT model: the [`encode`]d hard constraints plus unit soft clauses
+/// preferring every error off.
+fn build_model(h: &BitMatrix, l: &BitMatrix) -> (MaxSatSolver, Vec<Var>) {
+    let (builder, error_vars) = encode(h, l);
     let mut solver = MaxSatSolver::new(builder);
     for v in &error_vars {
         solver.add_soft_false(*v);
@@ -61,9 +66,16 @@ fn build_model(h: &BitMatrix, l: &BitMatrix) -> (MaxSatSolver, Vec<prophunt_maxs
     (solver, error_vars)
 }
 
+/// The whole-graph `(H, L)` of the global formulation: every detector, every error.
+fn global_matrices(graph: &DecodingGraph) -> (BitMatrix, BitMatrix) {
+    let all_detectors: Vec<usize> = (0..graph.num_detectors()).collect();
+    let all_errors: Vec<usize> = (0..graph.num_errors()).collect();
+    graph.matrices_for(&all_detectors, &all_errors)
+}
+
 fn extract_solution(
     outcome: &MaxSatOutcome,
-    error_vars: &[prophunt_maxsat::Var],
+    error_vars: &[Var],
     index_map: &[usize],
     kind: ModelKind,
     stats: MaxSatStats,
@@ -114,12 +126,11 @@ pub fn global_min_weight_logical_error(
     graph: &DecodingGraph,
     budget: Duration,
 ) -> (Option<MinWeightSolution>, MaxSatStats) {
-    let all_detectors: Vec<usize> = (0..graph.num_detectors()).collect();
-    let all_errors: Vec<usize> = (0..graph.num_errors()).collect();
-    let (h, l) = graph.matrices_for(&all_detectors, &all_errors);
+    let (h, l) = global_matrices(graph);
     let (mut solver, vars) = build_model(&h, &l);
     let outcome = solver.solve(budget);
     let stats = solver.last_stats().expect("solve records stats");
+    let all_errors: Vec<usize> = (0..graph.num_errors()).collect();
     let solution = extract_solution(&outcome, &vars, &all_errors, ModelKind::Global, stats);
     (solution, stats)
 }
@@ -132,29 +143,12 @@ pub fn subgraph_model_size(subgraph: &AmbiguousSubgraph) -> (usize, usize, usize
 
 /// Returns the model-size statistics of the global formulation without solving it.
 pub fn global_model_size(graph: &DecodingGraph) -> (usize, usize, usize) {
-    let all_detectors: Vec<usize> = (0..graph.num_detectors()).collect();
-    let all_errors: Vec<usize> = (0..graph.num_errors()).collect();
-    let (h, l) = graph.matrices_for(&all_detectors, &all_errors);
+    let (h, l) = global_matrices(graph);
     model_size_of(&h, &l)
 }
 
 fn model_size_of(h: &BitMatrix, l: &BitMatrix) -> (usize, usize, usize) {
-    let mut builder = CnfBuilder::new();
-    let error_vars = builder.new_vars(h.num_cols());
-    for row in h.rows_iter() {
-        let lits: Vec<_> = row.ones().map(|e| error_vars[e].positive()).collect();
-        if !lits.is_empty() {
-            builder.add_xor_constraint(&lits, false);
-        }
-    }
-    let mut observable_lits = Vec::new();
-    for row in l.rows_iter() {
-        let lits: Vec<_> = row.ones().map(|e| error_vars[e].positive()).collect();
-        if !lits.is_empty() {
-            observable_lits.push(builder.xor_to_lit(&lits));
-        }
-    }
-    builder.add_clause(&observable_lits);
+    let (builder, _) = encode(h, l);
     (builder.num_vars(), builder.num_clauses(), h.num_cols())
 }
 
@@ -281,6 +275,19 @@ mod tests {
             "{glob_clauses} vs {sub_clauses}"
         );
         assert!(glob_soft > 5 * sub_soft);
+    }
+
+    #[test]
+    fn model_sizes_are_pinned_on_the_poor_surface_d3_schedule() {
+        // (vars, hard clauses, soft clauses) of the Table 2 formulations on
+        // surface_d3 `surface_poor`, subgraph seeded as in the test above.
+        let graph = graph_for(3, true);
+        let mut rng = StdRng::seed_from_u64(9);
+        let sub = (0..20)
+            .find_map(|_| find_ambiguous_subgraph(&graph, &mut rng, 60))
+            .expect("subgraph found");
+        assert_eq!(subgraph_model_size(&sub), (89, 251, 28));
+        assert_eq!(global_model_size(&graph), (814, 2421, 215));
     }
 
     #[test]
