@@ -1,97 +1,33 @@
-//! The decoder registry: decoders selectable by name, extensible with custom
-//! constructors.
+//! The closed set of decoders a spec can name.
 
 use crate::error::ApiError;
 use prophunt_circuit::DetectorErrorModel;
 use prophunt_decoders::{BpOsdDecoder, Decoder, UnionFindDecoder};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A constructor building a decoder instance for a concrete detector error model.
-pub type DecoderBuilder = Arc<dyn Fn(&DetectorErrorModel) -> Arc<dyn Decoder> + Send + Sync>;
-
-/// Maps decoder names to constructors.
-///
-/// The default registry knows the two built-in decoders:
+/// The decoder names [`build_decoder`] accepts, sorted:
 ///
 /// * `bposd` — normalized min-sum belief propagation with OSD-0 post-processing
 ///   (works on every detector error model).
 /// * `unionfind` — cluster-growth union-find (fast on graph-like models).
+pub const DECODER_NAMES: [&str; 2] = ["bposd", "unionfind"];
+
+/// Builds the decoder called `name` for `dem`.
 ///
-/// [`DecoderRegistry::register`] plugs in additional decoders without touching the
-/// session or job layers — any `Fn(&DetectorErrorModel) -> Arc<dyn Decoder>`.
-#[derive(Clone)]
-pub struct DecoderRegistry {
-    builders: BTreeMap<String, DecoderBuilder>,
-}
-
-impl std::fmt::Debug for DecoderRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DecoderRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
-}
-
-impl DecoderRegistry {
-    /// An empty registry (no decoders at all; useful for fully custom setups).
-    pub fn empty() -> DecoderRegistry {
-        DecoderRegistry {
-            builders: BTreeMap::new(),
-        }
-    }
-
-    /// The registry with the built-in decoders (`bposd`, `unionfind`).
-    pub fn with_defaults() -> DecoderRegistry {
-        let mut registry = DecoderRegistry::empty();
-        registry.register("bposd", |dem| Arc::new(BpOsdDecoder::new(dem)));
-        registry.register("unionfind", |dem| Arc::new(UnionFindDecoder::new(dem)));
-        registry
-    }
-
-    /// Registers (or replaces) a decoder constructor under `name`.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        builder: impl Fn(&DetectorErrorModel) -> Arc<dyn Decoder> + Send + Sync + 'static,
-    ) {
-        self.builders.insert(name.into(), Arc::new(builder));
-    }
-
-    /// Returns the registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.builders.keys().cloned().collect()
-    }
-
-    /// Returns whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.builders.contains_key(name)
-    }
-
-    /// Builds a decoder instance for `dem`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApiError::UnknownDecoder`] when `name` is not registered.
-    pub fn build(
-        &self,
-        name: &str,
-        dem: &DetectorErrorModel,
-    ) -> Result<Arc<dyn Decoder>, ApiError> {
-        let builder = self
-            .builders
-            .get(name)
-            .ok_or_else(|| ApiError::UnknownDecoder {
-                name: name.to_string(),
-                known: self.names(),
-            })?;
-        Ok(builder(dem))
-    }
-}
-
-impl Default for DecoderRegistry {
-    fn default() -> Self {
-        DecoderRegistry::with_defaults()
+/// # Errors
+///
+/// Returns [`ApiError::UnknownDecoder`] when `name` is not in [`DECODER_NAMES`].
+pub fn build_decoder(name: &str, dem: &DetectorErrorModel) -> Result<Arc<dyn Decoder>, ApiError> {
+    match name {
+        "bposd" => Ok(Arc::new(BpOsdDecoder::new(dem))),
+        "unionfind" => Ok(Arc::new(UnionFindDecoder::new(dem))),
+        _ => Err(ApiError::UnknownDecoder {
+            name: name.to_string(),
+            known: DECODER_NAMES
+                .iter()
+                .map(|known| known.to_string())
+                .collect(),
+        }),
     }
 }
 
@@ -100,7 +36,6 @@ mod tests {
     use super::*;
     use prophunt_circuit::schedule::ScheduleSpec;
     use prophunt_circuit::{MemoryBasis, MemoryExperiment, NoiseModel};
-    use prophunt_gf2::BitVec;
     use prophunt_qec::surface::rotated_surface_code_with_layout;
 
     fn d3_dem() -> DetectorErrorModel {
@@ -112,11 +47,9 @@ mod tests {
 
     #[test]
     fn default_registry_builds_both_builtin_decoders() {
-        let registry = DecoderRegistry::with_defaults();
-        assert_eq!(registry.names(), vec!["bposd", "unionfind"]);
         let dem = d3_dem();
-        for name in ["bposd", "unionfind"] {
-            let decoder = registry.build(name, &dem).unwrap();
+        for name in DECODER_NAMES {
+            let decoder = build_decoder(name, &dem).unwrap();
             assert_eq!(decoder.num_detectors(), dem.num_detectors());
             assert_eq!(decoder.num_observables(), dem.num_observables());
         }
@@ -124,47 +57,17 @@ mod tests {
 
     #[test]
     fn unknown_names_report_the_known_set() {
-        let registry = DecoderRegistry::with_defaults();
-        let Err(err) = registry.build("pymatching", &d3_dem()) else {
+        let Err(err) = build_decoder("pymatching", &d3_dem()) else {
             panic!("expected an error");
         };
+        assert_eq!(
+            err.to_string(),
+            "unknown decoder \"pymatching\" (known: bposd, unionfind)"
+        );
         let ApiError::UnknownDecoder { name, known } = err else {
             panic!("expected UnknownDecoder");
         };
         assert_eq!(name, "pymatching");
         assert_eq!(known, vec!["bposd", "unionfind"]);
-    }
-
-    #[test]
-    fn custom_decoders_can_be_registered() {
-        struct AlwaysZero {
-            detectors: usize,
-            observables: usize,
-        }
-        impl Decoder for AlwaysZero {
-            fn decode(&self, _detectors: &BitVec) -> BitVec {
-                BitVec::zeros(self.observables)
-            }
-            fn num_detectors(&self) -> usize {
-                self.detectors
-            }
-            fn num_observables(&self) -> usize {
-                self.observables
-            }
-        }
-        let mut registry = DecoderRegistry::with_defaults();
-        registry.register("zero", |dem| {
-            Arc::new(AlwaysZero {
-                detectors: dem.num_detectors(),
-                observables: dem.num_observables(),
-            })
-        });
-        assert!(registry.contains("zero"));
-        let dem = d3_dem();
-        let decoder = registry.build("zero", &dem).unwrap();
-        assert_eq!(
-            decoder.decode(&BitVec::zeros(dem.num_detectors())),
-            BitVec::zeros(dem.num_observables())
-        );
     }
 }

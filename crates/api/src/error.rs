@@ -12,11 +12,11 @@ pub enum ApiError {
     Format(FormatError),
     /// A circuit-layer failure: schedule invalid for the code, experiment build.
     Circuit(CircuitError),
-    /// The requested decoder name is not in the session's registry.
+    /// The requested decoder name is not one of [`crate::decoder::DECODER_NAMES`].
     UnknownDecoder {
         /// The requested name.
         name: String,
-        /// The names the registry knows.
+        /// The known decoder names.
         known: Vec<String>,
     },
     /// A noise spec string failed to parse or carries out-of-range parameters.
@@ -31,11 +31,9 @@ impl fmt::Display for ApiError {
         match self {
             ApiError::Format(e) => write!(f, "{e}"),
             ApiError::Circuit(e) => write!(f, "{e}"),
-            ApiError::UnknownDecoder { name, known } => write!(
-                f,
-                "unknown decoder {name:?} (registered: {})",
-                known.join(", ")
-            ),
+            ApiError::UnknownDecoder { name, known } => {
+                write!(f, "unknown decoder {name:?} (known: {})", known.join(", "))
+            }
             ApiError::InvalidNoise(message) => write!(f, "invalid noise spec: {message}"),
             ApiError::InvalidSpec(message) => write!(f, "invalid experiment spec: {message}"),
         }

@@ -4,7 +4,7 @@
 use crate::noise::NoiseSpec;
 use crate::spec::Engine;
 use crate::spec::ExperimentSpec;
-use prophunt::{IterationRecord, OptimizationResult};
+use prophunt::{IterationRecord, OptimizationResult, PropHuntConfig};
 use prophunt_circuit::MemoryBasis;
 use prophunt_decoders::{LerStopReason, LogicalErrorEstimate, ShotBudget};
 use prophunt_formats::ReportRecord;
@@ -195,7 +195,8 @@ pub struct OptimizeJob {
     pub iterations: usize,
     /// Subgraph-expansion samples per iteration.
     pub samples_per_iteration: usize,
-    /// Wall-clock budget per MaxSAT solve.
+    /// Budget per MaxSAT solve, enforced as a deterministic conflict budget
+    /// (converted at `prophunt_maxsat::maxsat::CONFLICTS_PER_BUDGET_SECOND`).
     pub maxsat_budget: Duration,
     /// Maximum subgraph-expansion steps before a sample gives up.
     pub max_subgraph_steps: usize,
@@ -208,29 +209,34 @@ pub struct OptimizeJob {
 }
 
 impl OptimizeJob {
-    /// Creates a job with the quick-profile defaults (4 iterations, 40 samples).
+    /// Creates a job with the effort numbers of [`PropHuntConfig::quick`]
+    /// (4 iterations, 40 samples).
     pub fn new(spec: ExperimentSpec) -> OptimizeJob {
+        let quick = PropHuntConfig::quick(spec.rounds());
         OptimizeJob {
             spec,
-            iterations: 4,
-            samples_per_iteration: 40,
-            maxsat_budget: Duration::from_secs(20),
-            max_subgraph_steps: 60,
-            max_subgraphs_per_iteration: 6,
+            iterations: quick.iterations,
+            samples_per_iteration: quick.samples_per_iteration,
+            maxsat_budget: quick.maxsat_budget,
+            max_subgraph_steps: quick.max_subgraph_steps,
+            max_subgraphs_per_iteration: quick.max_subgraphs_per_iteration,
             seed: None,
             label: None,
         }
     }
 
-    /// Switches to the paper-scale profile (25 iterations, 500 samples, 360 s
-    /// MaxSAT budget, wider subgraph search).
-    pub fn paper_profile(mut self) -> OptimizeJob {
-        self.iterations = 25;
-        self.samples_per_iteration = 500;
-        self.maxsat_budget = Duration::from_secs(360);
-        self.max_subgraph_steps = 120;
-        self.max_subgraphs_per_iteration = 24;
-        self
+    /// Switches to the effort numbers of [`PropHuntConfig::paper_like`] (25
+    /// iterations, 500 samples, 360 s MaxSAT budget, wider subgraph search).
+    pub fn paper_profile(self) -> OptimizeJob {
+        let paper = PropHuntConfig::paper_like(self.spec.rounds());
+        OptimizeJob {
+            iterations: paper.iterations,
+            samples_per_iteration: paper.samples_per_iteration,
+            maxsat_budget: paper.maxsat_budget,
+            max_subgraph_steps: paper.max_subgraph_steps,
+            max_subgraphs_per_iteration: paper.max_subgraphs_per_iteration,
+            ..self
+        }
     }
 
     /// Sets the iteration budget.
@@ -298,7 +304,7 @@ pub struct LerOutcome {
     pub seed: u64,
     /// The deterministic chunk size.
     pub chunk_size: usize,
-    /// Decoder registry name.
+    /// Decoder name.
     pub decoder: String,
     /// The noise specification; `None` for models loaded from a pre-built `.dem`
     /// file, whose error distribution is baked in (recorded as an empty noise
@@ -381,6 +387,33 @@ mod tests {
         );
         assert!(StopReason::TargetRseReached.stopped_early());
         assert!(!StopReason::ShotsExhausted.stopped_early());
+    }
+
+    #[test]
+    fn optimize_job_profiles_are_the_optimizer_profiles() {
+        let spec = ExperimentSpec::builder()
+            .code_family("surface:3")
+            .unwrap()
+            .build()
+            .unwrap();
+        let effort = |job: &OptimizeJob| {
+            (
+                job.iterations,
+                job.samples_per_iteration,
+                job.maxsat_budget,
+                job.max_subgraph_steps,
+                job.max_subgraphs_per_iteration,
+            )
+        };
+        let quick = OptimizeJob::new(spec).with_seed(5);
+        assert_eq!(effort(&quick), (4, 40, Duration::from_secs(20), 60, 6));
+        let paper = quick.paper_profile();
+        assert_eq!(effort(&paper), (25, 500, Duration::from_secs(360), 120, 24));
+        assert_eq!(
+            paper.seed,
+            Some(5),
+            "switching profile keeps the job's seed"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The unified experiment API of the PropHunt suite: a composable
-//! Session/Job surface with pluggable decoders, a noise-model family and
-//! deterministic adaptive shot budgets.
+//! Session/Job surface with decoders selectable by name, a noise-model family
+//! and deterministic adaptive shot budgets.
 //!
 //! The paper evaluates schedules across codes, decoders and noise settings; this
 //! crate makes that product space first-class instead of hard-wiring each
@@ -18,9 +18,9 @@
 //! * [`ShotBudget`] — *how long* it runs: fixed shots, a failure target, or a
 //!   relative-standard-error target, all stopping at chunk granularity so
 //!   early-stopped failure counts stay bit-identical at any thread count.
-//! * [`DecoderRegistry`] / [`NoiseSpec`] — the pluggable registries: decoders
-//!   selectable by name (`bposd`, `unionfind`, user-registered), noise models
-//!   constructible from spec strings (`depolarizing:0.001`, `si1000:0.002`,
+//! * [`build_decoder`] / [`NoiseSpec`] — the by-name constructors: the closed
+//!   set of decoders ([`DECODER_NAMES`]: `bposd`, `unionfind`) and noise models
+//!   built from spec strings (`depolarizing:0.001`, `si1000:0.002`,
 //!   `biased:0.001:10`).
 //!
 //! Every session also carries a [`prophunt_obs`] registry (re-exported as
@@ -66,7 +66,7 @@ pub mod search;
 pub mod session;
 pub mod spec;
 
-pub use decoder::{DecoderBuilder, DecoderRegistry};
+pub use decoder::{build_decoder, DECODER_NAMES};
 pub use error::ApiError;
 pub use job::{
     BasisEstimate, Event, JobKind, LerJob, LerOutcome, OptimizeJob, OptimizeOutcome, StopReason,

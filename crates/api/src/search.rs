@@ -1,7 +1,7 @@
 //! [`SearchJob`]: portfolio schedule search as a typed session job.
 
 use crate::spec::ExperimentSpec;
-use prophunt_search::{SearchResult, StrategyKind};
+use prophunt_search::{SearchParams, SearchResult, StrategyKind};
 use std::time::Duration;
 
 /// A strategy-portfolio search job: race N seeded [`StrategyKind`] instances
@@ -26,7 +26,8 @@ pub struct SearchJob {
     pub proposals_per_round: usize,
     /// Subgraph-expansion samples per MaxSAT-descent iteration.
     pub samples_per_iteration: usize,
-    /// Wall-clock budget per MaxSAT solve.
+    /// Budget per MaxSAT solve, enforced as a deterministic conflict budget
+    /// (converted at `prophunt_maxsat::maxsat::CONFLICTS_PER_BUDGET_SECOND`).
     pub maxsat_budget: Duration,
     /// Seed override; `None` uses the session runtime's seed.
     pub seed: Option<u64>,
@@ -36,17 +37,19 @@ pub struct SearchJob {
 
 impl SearchJob {
     /// Creates a job with the quick-profile defaults: the full built-in
-    /// strategy mix, one instance per strategy, 8 rounds, 24 proposals per
-    /// round, 20 MaxSAT samples per iteration.
+    /// strategy mix, one instance per strategy, 8 rounds, and the per-round
+    /// effort of [`SearchParams::default`] (24 proposals per round, 20 MaxSAT
+    /// samples per iteration).
     pub fn new(spec: ExperimentSpec) -> SearchJob {
+        let params = SearchParams::default();
         SearchJob {
             spec,
             strategies: StrategyKind::ALL.to_vec(),
             portfolio_size: StrategyKind::ALL.len(),
             rounds: 8,
-            proposals_per_round: 24,
-            samples_per_iteration: 20,
-            maxsat_budget: Duration::from_secs(20),
+            proposals_per_round: params.proposals_per_round,
+            samples_per_iteration: params.samples_per_iteration,
+            maxsat_budget: params.maxsat_budget,
             seed: None,
             label: None,
         }

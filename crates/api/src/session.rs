@@ -12,7 +12,7 @@
 //! covers all four layers). Cache accounting lives in the registry as
 //! `session.cache.<kind>.hit` / `.miss` counters plus `session.jobs`.
 
-use crate::decoder::DecoderRegistry;
+use crate::decoder::build_decoder;
 use crate::error::ApiError;
 use crate::job::{
     BasisEstimate, Event, JobKind, LerJob, LerOutcome, OptimizeJob, OptimizeOutcome, StopReason,
@@ -54,7 +54,6 @@ fn basis_tag(basis: MemoryBasis) -> u8 {
 /// The stateful execution context of the experiment API. See the module docs.
 pub struct Session {
     runtime: Runtime,
-    registry: DecoderRegistry,
     experiments: HashMap<ExperimentKey, Arc<MemoryExperiment>>,
     dems: HashMap<DemKey, Arc<DetectorErrorModel>>,
     decoders: HashMap<DecoderKey, Arc<dyn Decoder>>,
@@ -65,30 +64,23 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("runtime", self.runtime.config())
-            .field("registry", &self.registry)
             .field("jobs", &self.metrics().counter("session.jobs"))
             .finish_non_exhaustive()
     }
 }
 
 impl Session {
-    /// Creates a session with the default decoder registry.
+    /// Creates a session recording into a fresh enabled observability registry.
     pub fn new(config: RuntimeConfig) -> Session {
-        Session::with_registry(config, DecoderRegistry::with_defaults())
-    }
-
-    /// Creates a session with a custom decoder registry.
-    pub fn with_registry(config: RuntimeConfig, registry: DecoderRegistry) -> Session {
-        Session::with_obs(config, registry, Obs::enabled())
+        Session::with_obs(config, Obs::enabled())
     }
 
     /// Creates a session recording into a caller-supplied observability handle
     /// (e.g. a registry shared with other sessions). A disabled handle turns the
     /// session's metrics off wholesale; [`Session::metrics`] then reads empty.
-    pub fn with_obs(config: RuntimeConfig, registry: DecoderRegistry, obs: Obs) -> Session {
+    pub fn with_obs(config: RuntimeConfig, obs: Obs) -> Session {
         Session {
             runtime: Runtime::with_obs(config, obs.clone()),
-            registry,
             experiments: HashMap::new(),
             dems: HashMap::new(),
             decoders: HashMap::new(),
@@ -99,26 +91,6 @@ impl Session {
     /// Returns the shared parallel runtime.
     pub fn runtime(&self) -> &Runtime {
         &self.runtime
-    }
-
-    /// Returns the decoder registry.
-    pub fn registry(&self) -> &DecoderRegistry {
-        &self.registry
-    }
-
-    /// Registers (or replaces) a decoder constructor; see
-    /// [`DecoderRegistry::register`]. Replacing a name also evicts every decoder
-    /// instance cached under it, so later jobs use the new constructor.
-    pub fn register_decoder(
-        &mut self,
-        name: impl Into<String>,
-        builder: impl Fn(&DetectorErrorModel) -> Arc<dyn Decoder> + Send + Sync + 'static,
-    ) {
-        let name = name.into();
-        // lint: allow(no-hash-iter) — order-insensitive: retain applies an
-        // independent per-entry predicate; no output depends on visit order.
-        self.decoders.retain(|(_, cached), _| cached != &name);
-        self.registry.register(name, builder);
     }
 
     /// Returns the observability handle shared by the session, its runtime, the
@@ -204,7 +176,7 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`ApiError::UnknownDecoder`] when the spec's decoder name is not
-    /// registered, and [`ApiError::Circuit`] when the model cannot be built.
+    /// a known decoder, and [`ApiError::Circuit`] when the model cannot be built.
     pub fn decoder(
         &mut self,
         spec: &ExperimentSpec,
@@ -217,7 +189,7 @@ impl Session {
             return Ok(Arc::clone(decoder));
         }
         let dem = self.dem(spec, basis)?;
-        let decoder = self.registry.build(spec.decoder(), &dem)?;
+        let decoder = build_decoder(spec.decoder(), &dem)?;
         self.obs.inc("session.cache.decoder.miss");
         self.decoders.insert(key, Arc::clone(&decoder));
         Ok(decoder)
@@ -315,15 +287,16 @@ impl Session {
     ) -> Result<OptimizeOutcome, ApiError> {
         let span = self.obs.span("job.optimize", "job");
         let seed = job.seed.unwrap_or(self.runtime.config().seed);
-        let mut config = PropHuntConfig::quick(job.spec.rounds());
-        config.iterations = job.iterations;
-        config.samples_per_iteration = job.samples_per_iteration;
-        config.maxsat_budget = job.maxsat_budget;
-        config.max_subgraph_steps = job.max_subgraph_steps;
-        config.max_subgraphs_per_iteration = job.max_subgraphs_per_iteration;
-        config.physical_error_rate = job.spec.noise().p();
-        config.noise = Some(job.spec.noise().build());
-        config.runtime = self.runtime.config().with_seed(seed);
+        let config = PropHuntConfig {
+            iterations: job.iterations,
+            samples_per_iteration: job.samples_per_iteration,
+            rounds: job.spec.rounds(),
+            noise: job.spec.noise().build(),
+            maxsat_budget: job.maxsat_budget,
+            max_subgraph_steps: job.max_subgraph_steps,
+            max_subgraphs_per_iteration: job.max_subgraphs_per_iteration,
+            runtime: self.runtime.config().with_seed(seed),
+        };
         observer(&Event::JobStarted {
             kind: JobKind::Optimize,
             label: job.label().to_string(),
@@ -445,7 +418,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`ApiError::UnknownDecoder`] when the decoder is not registered.
+    /// Returns [`ApiError::UnknownDecoder`] when the decoder name is not known.
     pub fn run_ler_on_dem(
         &mut self,
         dem: &DetectorErrorModel,
@@ -454,7 +427,7 @@ impl Session {
         mut observer: impl FnMut(&Event),
     ) -> Result<LerOutcome, ApiError> {
         let span = self.obs.span("job.ler", "job");
-        let decoder = self.registry.build(decoder_name, dem)?;
+        let decoder = build_decoder(decoder_name, dem)?;
         observer(&Event::JobStarted {
             kind: JobKind::Ler,
             label: "dem".to_string(),
@@ -575,45 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn replacing_a_decoder_evicts_its_cached_instances() {
-        use prophunt_gf2::BitVec;
-        struct AlwaysZero {
-            detectors: usize,
-            observables: usize,
-        }
-        impl prophunt_decoders::Decoder for AlwaysZero {
-            fn decode(&self, _detectors: &BitVec) -> BitVec {
-                BitVec::zeros(self.observables)
-            }
-            fn num_detectors(&self) -> usize {
-                self.detectors
-            }
-            fn num_observables(&self) -> usize {
-                self.observables
-            }
-        }
-        let mut session = session();
-        // Populate the cache under "bposd" with a high-p job that has failures.
-        let spec = d3_spec().with_noise(crate::noise::NoiseSpec::uniform(2e-2));
-        let job = LerJob::new(spec).with_budget(ShotBudget::fixed(256));
-        let before = session.run_ler_quiet(&job).unwrap();
-        assert!(before.combined.failures > 0);
-        // Replace "bposd" with a decoder that never predicts a flip: the cached
-        // instance must be evicted, so the rerun uses the new constructor.
-        session.register_decoder("bposd", |dem| {
-            std::sync::Arc::new(AlwaysZero {
-                detectors: dem.num_detectors(),
-                observables: dem.num_observables(),
-            })
-        });
-        let after = session.run_ler_quiet(&job).unwrap();
-        assert_ne!(
-            after.combined.failures, before.combined.failures,
-            "replaced decoder must actually be used"
-        );
-    }
-
-    #[test]
     fn unknown_decoder_surfaces_as_a_typed_error() {
         let mut session = session();
         let job = LerJob::new(d3_spec().with_decoder("nope"));
@@ -708,11 +642,7 @@ mod tests {
 
     #[test]
     fn a_disabled_obs_handle_turns_session_metrics_off() {
-        let mut session = Session::with_obs(
-            RuntimeConfig::new(2, 64, 7),
-            DecoderRegistry::with_defaults(),
-            Obs::disabled(),
-        );
+        let mut session = Session::with_obs(RuntimeConfig::new(2, 64, 7), Obs::disabled());
         let job = LerJob::new(d3_spec()).with_budget(ShotBudget::fixed(64));
         let outcome = session.run_ler_quiet(&job).unwrap();
         assert_eq!(outcome.combined.shots, 64);

@@ -134,7 +134,7 @@ impl ExperimentSpec {
         self.noise
     }
 
-    /// Returns the registry name of the decoder.
+    /// Returns the decoder name (one of [`crate::DECODER_NAMES`]).
     pub fn decoder(&self) -> &str {
         &self.decoder
     }
@@ -178,8 +178,8 @@ impl ExperimentSpec {
         spec
     }
 
-    /// Returns a derived spec with a different decoder name. The name is resolved
-    /// against the session's registry at run time.
+    /// Returns a derived spec with a different decoder name. The name is checked
+    /// against [`crate::DECODER_NAMES`] when a job runs.
     pub fn with_decoder(&self, decoder: impl Into<String>) -> ExperimentSpec {
         let mut spec = self.clone();
         spec.decoder = decoder.into();
@@ -264,8 +264,8 @@ impl ExperimentSpecBuilder {
         Ok(self.noise(NoiseSpec::parse(spec)?))
     }
 
-    /// Sets the decoder registry name (default: `bposd`). Resolution against the
-    /// registry happens when a job runs in a session.
+    /// Sets the decoder name (default: `bposd`). The name is checked against
+    /// [`crate::DECODER_NAMES`] when a job runs in a session.
     pub fn decoder(mut self, name: impl Into<String>) -> Self {
         self.decoder = name.into();
         self

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let quick = std::env::var("PROPHUNT_FULL").is_err();
+    let quick = !prophunt_bench::full_profile();
     let d = if quick { 3 } else { 5 };
     let shots = if quick { 800 } else { 5_000 };
     let num_schedules = if quick { 6 } else { 20 };

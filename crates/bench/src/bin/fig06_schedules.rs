@@ -10,7 +10,7 @@ use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_qec::surface::rotated_surface_code_with_layout;
 
 fn main() {
-    let quick = std::env::var("PROPHUNT_FULL").is_err();
+    let quick = !prophunt_bench::full_profile();
     let shots = if quick { 1_500 } else { 20_000 };
     let mut session = bench_session();
     let (code, layout) = rotated_surface_code_with_layout(3);

@@ -75,7 +75,7 @@ fn optimize(
 }
 
 fn main() {
-    let full = std::env::var("PROPHUNT_FULL").is_ok();
+    let full = prophunt_bench::full_profile();
     let shots = if full { 20_000 } else { 1_200 };
     let ps: &[f64] = if full {
         &[1e-3, 2e-3, 5e-3, 1e-2]

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let full = std::env::var("PROPHUNT_FULL").is_ok();
+    let full = prophunt_bench::full_profile();
     let shots = if full { 10_000 } else { 1_000 };
     let starts = if full { 3 } else { 2 };
     let p = 2e-3;

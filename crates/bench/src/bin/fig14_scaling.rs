@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use std::time::Duration;
 
 fn main() {
-    let full = std::env::var("PROPHUNT_FULL").is_ok();
+    let full = prophunt_bench::full_profile();
     let samples = if full { 1000 } else { 60 };
     let distances: &[usize] = if full { &[3, 5, 7] } else { &[3, 5] };
     println!("Figure 14: subgraph MaxSAT scaling ({samples} samples per code)");

@@ -9,7 +9,7 @@ use prophunt_bench::{bench_session, benchmark_suite, run_ler_point, write_bench_
 use prophunt_circuit::schedule::ScheduleSpec;
 
 fn main() {
-    let full = std::env::var("PROPHUNT_FULL").is_ok();
+    let full = prophunt_bench::full_profile();
     let shots = if full { 10_000 } else { 800 };
     let gate_p = 1e-3;
     let mut session = bench_session();

@@ -17,7 +17,7 @@ fn main() {
         "{:<12} {:>12} {:>12} {:>8}",
         "range", "DS-ZNE", "Hook-ZNE", "ratio"
     );
-    let trials = if std::env::var("PROPHUNT_FULL").is_ok() {
+    let trials = if prophunt_bench::full_profile() {
         400
     } else {
         80

@@ -152,7 +152,7 @@ fn assert_same_frames_parity(
 }
 
 fn main() {
-    let smoke = std::env::var("PROPHUNT_SMOKE").is_ok();
+    let smoke = prophunt_bench::smoke_profile();
     let runtime = runtime_config_from_env();
     let shots = if smoke { 256 } else { 4096 };
     let parity_shots = if smoke { 128 } else { 256 };

@@ -73,7 +73,7 @@ impl EvalRow {
 }
 
 fn main() {
-    let smoke = std::env::var("PROPHUNT_SMOKE").is_ok();
+    let smoke = prophunt_bench::smoke_profile();
     let runtime = runtime_config_from_env();
     let proposals = if smoke { 300 } else { 3000 };
     println!("Proposal evaluation: incremental ScheduleEval vs from-scratch validate+depth");

@@ -21,7 +21,7 @@ use prophunt_bench::{
 use prophunt_formats::write_report;
 
 fn main() {
-    let full = std::env::var("PROPHUNT_FULL").is_ok();
+    let full = prophunt_bench::full_profile();
     let runtime = runtime_config_from_env();
     let mut session = bench_session();
     println!("Schedule search: portfolio (maxsat,anneal,beam,hillclimb) vs MaxSAT descent alone");

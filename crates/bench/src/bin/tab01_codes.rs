@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use std::time::Instant;
 
 fn main() {
-    let include_large = std::env::var("PROPHUNT_FULL").is_ok();
+    let include_large = prophunt_bench::full_profile();
     let mut rng = StdRng::seed_from_u64(1);
     let mut session = bench_session();
     println!("Table 1: benchmark QEC codes (substitutions documented in README.md)");

@@ -51,7 +51,7 @@ fn row(name: &str, code: &CssCode, rounds: usize, global_budget: Duration) {
 }
 
 fn main() {
-    let full = std::env::var("PROPHUNT_FULL").is_ok();
+    let full = prophunt_bench::full_profile();
     let global_budget = Duration::from_secs(if full { 360 } else { 20 });
     println!("Table 2: MaxSAT model sizes, global vs ambiguous-subgraph formulation");
     println!(

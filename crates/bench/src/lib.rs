@@ -2,9 +2,14 @@
 //!
 //! The binaries in `src/bin/` regenerate the data behind every table and figure of the
 //! paper's evaluation (see the root `README.md` for the experiment index and
-//! recorded results); the Criterion benches in `benches/` measure the performance-
-//! critical kernels (detector-error-model construction, ambiguity checking, subgraph
-//! MaxSAT solving, decoding throughput).
+//! recorded results). Per-kernel timings (model construction, subgraph sampling,
+//! MaxSAT solving, decoding) come from the `perfbench/` package's per-layer
+//! metrics, `frame_bench` and `tab02_maxsat`.
+//!
+//! Every binary reads the same environment knobs: `PROPHUNT_THREADS`,
+//! `PROPHUNT_CHUNK_SIZE` and `PROPHUNT_SEED` ([`runtime_config_from_env`]), and
+//! the profile switches `PROPHUNT_FULL` ([`full_profile`]) and `PROPHUNT_SMOKE`
+//! ([`smoke_profile`]).
 //!
 //! Since the Session/Job redesign the harness is a thin layer over
 //! [`prophunt_api`]: each figure binary opens one [`Session`] (so memory
@@ -39,21 +44,52 @@ use std::path::PathBuf;
 /// `(seed, chunk_size)` alone. The base seed is mixed with each stage's
 /// fixed label through [`stage_seed`], so `PROPHUNT_SEED` rotates every
 /// random stream a binary draws while stages stay decorrelated.
+///
+/// A variable that is set but is not a non-negative integer ends the process
+/// with exit code 2 and a message naming the variable and its value.
 pub fn runtime_config_from_env() -> RuntimeConfig {
-    fn env_parse(name: &str) -> Option<u64> {
-        std::env::var(name).ok().and_then(|v| v.parse().ok())
-    }
+    let env_knob = |name: &str| {
+        let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        parse_env_knob(name, value.as_deref()).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        })
+    };
     let mut config = RuntimeConfig::new(8, RuntimeConfig::DEFAULT_CHUNK_SIZE, 0);
-    if let Some(threads) = env_parse("PROPHUNT_THREADS") {
+    if let Some(threads) = env_knob("PROPHUNT_THREADS") {
         config.threads = threads as usize;
     }
-    if let Some(chunk) = env_parse("PROPHUNT_CHUNK_SIZE") {
+    if let Some(chunk) = env_knob("PROPHUNT_CHUNK_SIZE") {
         config.chunk_size = chunk as usize;
     }
-    if let Some(seed) = env_parse("PROPHUNT_SEED") {
+    if let Some(seed) = env_knob("PROPHUNT_SEED") {
         config.seed = seed;
     }
     config
+}
+
+/// Parses the value of the numeric environment knob `name`: `None` when the
+/// variable is unset, an error naming the variable and its value when it does
+/// not parse as a `u64`.
+fn parse_env_knob(name: &str, value: Option<&str>) -> Result<Option<u64>, String> {
+    value
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{name}={v:?} is not a non-negative integer"))
+        })
+        .transpose()
+}
+
+/// Whether `PROPHUNT_FULL` is set (to any value): the binaries then run their
+/// paper-scale profile instead of the quick one.
+pub fn full_profile() -> bool {
+    std::env::var("PROPHUNT_FULL").is_ok()
+}
+
+/// Whether `PROPHUNT_SMOKE` is set (to any value): `frame_bench` and
+/// `schedule_eval` then trim their budget and skip their baseline writes.
+pub fn smoke_profile() -> bool {
+    std::env::var("PROPHUNT_SMOKE").is_ok()
 }
 
 /// Opens the one [`Session`] a bench binary shares across all of its jobs.
@@ -333,6 +369,19 @@ pub fn combined_logical_error_rate(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn env_knobs_parse_or_name_the_bad_variable() {
+        assert_eq!(parse_env_knob("PROPHUNT_SEED", None), Ok(None));
+        assert_eq!(parse_env_knob("PROPHUNT_SEED", Some("42")), Ok(Some(42)));
+        for bad in ["", "four", "-1", "2.5"] {
+            let message = parse_env_knob("PROPHUNT_THREADS", Some(bad)).unwrap_err();
+            assert_eq!(
+                message,
+                format!("PROPHUNT_THREADS={bad:?} is not a non-negative integer")
+            );
+        }
+    }
 
     #[test]
     fn small_suite_contains_surface_and_ldpc_codes() {

@@ -85,9 +85,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         .rounds(rounds)
         .build()
         .map_err(CliError::failure)?;
-    let job = OptimizeJob::new(spec)
-        .with_iterations(flags.num("iterations", 4usize)?)
-        .with_samples(flags.num("samples", 40usize)?);
+    let mut job = OptimizeJob::new(spec);
+    job.iterations = flags.num("iterations", job.iterations)?;
+    job.samples_per_iteration = flags.num("samples", job.samples_per_iteration)?;
 
     // The report sink: a file when --report is given, stdout otherwise. Records are
     // flushed line by line so a long run can be followed (or consumed) live.

@@ -117,13 +117,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
     let strategies =
         StrategyKind::parse_list(flags.get("strategies").unwrap_or("")).map_err(CliError::usage)?;
-    let portfolio_size = flags.num("portfolio-size", strategies.len())?;
-    let rounds = flags.num("rounds", 8usize)?;
-    if portfolio_size == 0 || rounds == 0 {
-        return Err(CliError::usage(
-            "--portfolio-size and --rounds must be at least 1",
-        ));
-    }
     let runtime = runtime_from_flags(&flags)?;
     let noise = noise_from_flags(&flags)?;
 
@@ -136,12 +129,16 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         .rounds(memory_rounds)
         .build()
         .map_err(CliError::failure)?;
-    let job = SearchJob::new(spec)
-        .with_strategies(strategies.clone())
-        .with_portfolio_size(portfolio_size)
-        .with_rounds(rounds)
-        .with_proposals(flags.num("proposals", 24usize)?)
-        .with_samples(flags.num("samples", 20usize)?);
+    let mut job = SearchJob::new(spec).with_strategies(strategies);
+    job.portfolio_size = flags.num("portfolio-size", job.strategies.len())?;
+    job.rounds = flags.num("rounds", job.rounds)?;
+    if job.portfolio_size == 0 || job.rounds == 0 {
+        return Err(CliError::usage(
+            "--portfolio-size and --rounds must be at least 1",
+        ));
+    }
+    job.proposals_per_round = flags.num("proposals", job.proposals_per_round)?;
+    job.samples_per_iteration = flags.num("samples", job.samples_per_iteration)?;
 
     let mut sink: Box<dyn std::io::Write> = match flags.get("report") {
         Some(path) => Box::new(
@@ -162,9 +159,13 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         code: code_name,
         seed: runtime.seed,
         chunk_size: runtime.chunk_size as u64,
-        strategies: strategies.iter().map(|s| s.name().to_string()).collect(),
-        portfolio: portfolio_size as u64,
-        rounds: rounds as u64,
+        strategies: job
+            .strategies
+            .iter()
+            .map(|s| s.name().to_string())
+            .collect(),
+        portfolio: job.portfolio_size as u64,
+        rounds: job.rounds as u64,
         initial_depth: initial
             .depth()
             .map_err(|e| CliError::failure(format!("initial schedule has no layout: {e}")))?
@@ -225,8 +226,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
          round {}); schedule written to {}",
         code_display,
         outcome.result.rounds.len(),
-        portfolio_size,
-        strategies
+        job.portfolio_size,
+        job.strategies
             .iter()
             .map(|s| s.name())
             .collect::<Vec<_>>()

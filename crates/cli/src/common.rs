@@ -2,7 +2,7 @@
 //! configuration flags, and output sinks.
 
 use crate::args::{CliError, Flags};
-use prophunt_api::{DecoderRegistry, Session};
+use prophunt_api::Session;
 use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_formats::report::ReportRecord;
 use prophunt_formats::{
@@ -82,7 +82,7 @@ pub fn session_from_flags(flags: &Flags, runtime: RuntimeConfig) -> (Session, Op
         Some(path) => {
             let tracer = Tracer::new();
             let obs = Obs::enabled().with_tracer(tracer.clone());
-            let session = Session::with_obs(runtime, DecoderRegistry::with_defaults(), obs);
+            let session = Session::with_obs(runtime, obs);
             (
                 session,
                 Some(TraceSink {

@@ -11,7 +11,7 @@
 //!   beam, hill climbing raced in deterministic synchronized rounds), streaming
 //!   JSON-lines incumbent records.
 //! * `ler` — Monte-Carlo logical-error-rate estimation from a `.dem` file or a
-//!   code + schedule, with pluggable decoders, noise specs and adaptive budgets.
+//!   code + schedule, with a decoder name, noise specs and adaptive budgets.
 //! * `sweep` — a code × p × decoder grid evaluated through one shared Session.
 //! * `check` — re-parse any emitted file.
 //! * `report` — summarize (or diff) the metrics files written by `--metrics`.

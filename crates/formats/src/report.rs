@@ -93,7 +93,7 @@ pub enum ReportRecord {
     /// Version note: the `decoder`, `noise`, `stop`, `wall_s` and `shots_per_sec`
     /// fields were added in report v2. The writer always emits them; the parser
     /// defaults them (`"bposd"`, `""`, `"shots_exhausted"`, `0`, `0`) when reading
-    /// v1 documents, which predate pluggable decoders and adaptive budgets. The
+    /// v1 documents, which predate decoder selection and adaptive budgets. The
     /// `engine` field was added the same way (additive, no version bump): the
     /// writer always emits it (`"frames"` for every new run), and the parser
     /// defaults it to `"scalar"` for v1/v2 records, which were all computed by

@@ -305,33 +305,6 @@ impl Tracer {
         });
     }
 
-    /// Records a complete event for the half-open interval beginning at
-    /// `start` and lasting `dur_ns`, on the current lane under the innermost
-    /// open span. This is the retro-timestamped form used by kernels that
-    /// already hold stage stamps.
-    pub fn complete(
-        &self,
-        name: &str,
-        cat: &str,
-        start: Instant,
-        dur_ns: u64,
-        args: &[(&str, u64)],
-    ) {
-        let (tid, parent) =
-            self.with_entry(|entry| (entry.tid, entry.stack.last().copied().unwrap_or(0)));
-        self.push_event(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            kind: TraceKind::Span,
-            tid,
-            id: 0,
-            parent,
-            ts_ns: self.ts_of(start),
-            dur_ns,
-            args: args.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-        });
-    }
-
     /// Records a deterministic diagnostic event: `ts = dur = 0`, no span ids,
     /// category [`DIAG_CATEGORY`], with `tid` carrying a deterministic lane
     /// (e.g. a portfolio instance slot). Only call with thread-count-invariant
@@ -548,20 +521,6 @@ mod tests {
         lanes.sort_unstable();
         assert_eq!(lanes, vec![1, 2, 3]);
         assert!(tasks.iter().all(|e| e.parent == call_id));
-    }
-
-    #[test]
-    fn complete_records_retro_timestamped_stages() {
-        let tracer = Tracer::new();
-        let start = Instant::now();
-        tracer.complete("stage", "test", start, 123, &[("shots", 64)]);
-        let log = tracer.drain();
-        assert_eq!(log.events.len(), 1);
-        let e = &log.events[0];
-        assert_eq!(e.dur_ns, 123);
-        assert_eq!(e.kind, TraceKind::Span);
-        assert_eq!(e.ts_ns, tracer.ts_of(start));
-        assert_eq!(e.args, vec![("shots".to_string(), 64)]);
     }
 
     #[test]

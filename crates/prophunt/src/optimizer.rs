@@ -32,13 +32,9 @@ pub struct PropHuntConfig {
     pub samples_per_iteration: usize,
     /// Number of syndrome-measurement rounds in the analysed memory experiment.
     pub rounds: usize,
-    /// Physical error rate used to build the detector error model (under uniform
-    /// depolarizing noise, unless [`Self::noise`] overrides the whole model).
-    pub physical_error_rate: f64,
-    /// Full noise-model override. `None` (the default) analyses the circuit under
-    /// [`NoiseModel::uniform_depolarizing`] at [`Self::physical_error_rate`]; `Some`
-    /// optimizes against that model instead (SI1000-style, biased, ...).
-    pub noise: Option<NoiseModel>,
+    /// The noise model the detector error models are built with. Both profiles
+    /// use [`NoiseModel::uniform_depolarizing`] at `p = 1e-3`, as in the paper.
+    pub noise: NoiseModel,
     /// Budget per MaxSAT solve, denominated in `Duration` for parity with the
     /// paper (which uses 360 s) but enforced as a deterministic *conflict*
     /// budget: the duration is converted through the fixed
@@ -59,15 +55,16 @@ pub struct PropHuntConfig {
 }
 
 impl PropHuntConfig {
-    /// A small configuration suitable for tests and examples: few iterations, few
-    /// samples, single-digit wall-clock seconds on a d=3 surface code.
+    /// A small configuration suitable for tests and examples: 4 iterations, 40
+    /// samples per iteration, 20 s MaxSAT budget, single-digit wall-clock seconds
+    /// on a d=3 surface code. This and [`Self::paper_like`] are the only copies
+    /// of the effort profiles; the experiment API's jobs read them from here.
     pub fn quick(rounds: usize) -> Self {
         PropHuntConfig {
             iterations: 4,
             samples_per_iteration: 40,
             rounds,
-            physical_error_rate: 1e-3,
-            noise: None,
+            noise: NoiseModel::uniform_depolarizing(1e-3),
             maxsat_budget: Duration::from_secs(20),
             max_subgraph_steps: 60,
             max_subgraphs_per_iteration: 6,
@@ -82,8 +79,7 @@ impl PropHuntConfig {
             iterations: 25,
             samples_per_iteration: 500,
             rounds,
-            physical_error_rate: 1e-3,
-            noise: None,
+            noise: NoiseModel::uniform_depolarizing(1e-3),
             maxsat_budget: Duration::from_secs(360),
             max_subgraph_steps: 120,
             max_subgraphs_per_iteration: 24,
@@ -101,20 +97,6 @@ impl PropHuntConfig {
     pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
         self.runtime = runtime;
         self
-    }
-
-    /// Overrides the full noise model the circuit is analysed under.
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = Some(noise);
-        self
-    }
-
-    /// Returns the noise model the decoding graphs are built with: the explicit
-    /// [`Self::noise`] override, or uniform depolarizing at
-    /// [`Self::physical_error_rate`].
-    pub fn noise_model(&self) -> NoiseModel {
-        self.noise
-            .unwrap_or_else(|| NoiseModel::uniform_depolarizing(self.physical_error_rate))
     }
 
     /// Returns the base random seed.
@@ -391,7 +373,7 @@ impl PropHunt {
                 schedule,
                 self.config.rounds,
                 basis,
-                &self.config.noise_model(),
+                &self.config.noise,
             )
             .map_err(|e| format!("{e:?}"))?,
         );
@@ -503,7 +485,7 @@ impl PropHunt {
                     .map(move |candidate| (group, sub, solution, candidate))
             })
             .collect();
-        let noise = self.config.noise_model();
+        let noise = self.config.noise;
         let base_eval = prophunt_circuit::ScheduleEval::new(schedule.clone())
             .expect("schedule stays valid across iterations");
         let results = self
@@ -592,14 +574,16 @@ mod tests {
 
     #[test]
     fn noise_override_replaces_the_uniform_depolarizing_default() {
+        // Both profiles analyse the paper's noise: uniform depolarizing at 1e-3.
         let config = PropHuntConfig::quick(3);
-        assert_eq!(
-            config.noise_model(),
-            NoiseModel::uniform_depolarizing(config.physical_error_rate)
-        );
+        assert_eq!(config.noise, NoiseModel::uniform_depolarizing(1e-3));
+        assert_eq!(PropHuntConfig::paper_like(5).noise, config.noise);
         let si = NoiseModel::si1000(2e-3);
-        let config = config.with_noise(si);
-        assert_eq!(config.noise_model(), si);
+        let config = PropHuntConfig {
+            noise: si,
+            ..config
+        };
+        assert_eq!(config.noise, si);
     }
 
     #[test]

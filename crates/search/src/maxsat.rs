@@ -39,16 +39,19 @@ impl MaxSatDescent {
     /// only source of parallelism (nesting bounded pools would oversubscribe
     /// without changing any result).
     pub fn new(ctx: &SearchContext, seed: u64) -> MaxSatDescent {
+        // Rounds call `PropHunt::step` directly, so the profile's iteration
+        // count is unused; the subgraph-search caps come from the quick profile.
+        let quick = PropHuntConfig::quick(ctx.params.memory_rounds);
         let config = PropHuntConfig {
-            iterations: 1,
             samples_per_iteration: ctx.params.samples_per_iteration,
-            rounds: ctx.params.memory_rounds,
-            physical_error_rate: 1e-3,
-            noise: Some(ctx.params.noise),
+            noise: ctx.params.noise,
             maxsat_budget: ctx.params.maxsat_budget,
-            max_subgraph_steps: 60,
-            max_subgraphs_per_iteration: 6,
-            runtime: RuntimeConfig::new(1, 16, seed),
+            runtime: RuntimeConfig {
+                threads: 1,
+                seed,
+                ..quick.runtime
+            },
+            ..quick
         };
         let depth = ctx
             .initial

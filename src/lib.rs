@@ -27,8 +27,8 @@
 //!   ([`prophunt_formats`]); the `prophunt` CLI is built on these.
 //! * [`api`] — the unified experiment surface: `ExperimentSpec` builder,
 //!   `Session` (cached models/decoders), typed `OptimizeJob`/`LerJob`s with a
-//!   unified event stream, pluggable decoder/noise registries and adaptive
-//!   shot budgets ([`prophunt_api`]). Prefer this entry point for new code.
+//!   unified event stream, decoders and noise models selected by name and
+//!   adaptive shot budgets ([`prophunt_api`]). Prefer this entry point for new code.
 //!
 //! See `README.md` for a quickstart, the crate map and the runtime's
 //! determinism contract, and `FORMATS.md` for the file-format grammars.

@@ -5,9 +5,7 @@
 //! many, under which parents) is a pure function of `(seed, chunk_size)` even
 //! though the timestamps are not.
 
-use prophunt_suite::api::{
-    DecoderRegistry, ExperimentSpec, LerJob, SearchJob, Session, ShotBudget, StrategyKind,
-};
+use prophunt_suite::api::{ExperimentSpec, LerJob, SearchJob, Session, ShotBudget, StrategyKind};
 use prophunt_suite::formats::trace_event_to_record;
 use prophunt_suite::obs::{Obs, TraceLog, Tracer, DIAG_CATEGORY};
 use prophunt_suite::runtime::RuntimeConfig;
@@ -15,11 +13,7 @@ use prophunt_suite::runtime::RuntimeConfig;
 fn traced_session(threads: usize, seed: u64) -> (Session, Tracer) {
     let tracer = Tracer::new();
     let obs = Obs::enabled().with_tracer(tracer.clone());
-    let session = Session::with_obs(
-        RuntimeConfig::new(threads, 64, seed),
-        DecoderRegistry::with_defaults(),
-        obs,
-    );
+    let session = Session::with_obs(RuntimeConfig::new(threads, 64, seed), obs);
     (session, tracer)
 }
 
