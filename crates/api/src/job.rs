@@ -195,8 +195,9 @@ pub struct OptimizeJob {
     pub iterations: usize,
     /// Subgraph-expansion samples per iteration.
     pub samples_per_iteration: usize,
-    /// Budget per MaxSAT solve, enforced as a deterministic conflict budget
-    /// (converted at `prophunt_maxsat::maxsat::CONFLICTS_PER_BUDGET_SECOND`).
+    /// Budget per minimum-weight solve, enforced as a deterministic cap on the
+    /// column subsets the exact solver enumerates (converted at
+    /// `prophunt::minweight::SUBSETS_PER_BUDGET_SECOND`).
     pub maxsat_budget: Duration,
     /// Maximum subgraph-expansion steps before a sample gives up.
     pub max_subgraph_steps: usize,
@@ -226,7 +227,7 @@ impl OptimizeJob {
     }
 
     /// Switches to the effort numbers of [`PropHuntConfig::paper_like`] (25
-    /// iterations, 500 samples, 360 s MaxSAT budget, wider subgraph search).
+    /// iterations, 500 samples, 360 s solve budget, wider subgraph search).
     pub fn paper_profile(self) -> OptimizeJob {
         let paper = PropHuntConfig::paper_like(self.spec.rounds());
         OptimizeJob {
@@ -251,8 +252,8 @@ impl OptimizeJob {
         self
     }
 
-    /// Sets the MaxSAT budget (enforced as a deterministic conflict budget;
-    /// see `prophunt_maxsat::MaxSatSolver::solve`).
+    /// Sets the per-solve budget (enforced as a deterministic subset cap; see
+    /// `prophunt::minweight::min_weight_logical_error`).
     pub fn with_maxsat_budget(mut self, budget: Duration) -> OptimizeJob {
         self.maxsat_budget = budget;
         self

@@ -26,8 +26,9 @@ pub struct SearchJob {
     pub proposals_per_round: usize,
     /// Subgraph-expansion samples per MaxSAT-descent iteration.
     pub samples_per_iteration: usize,
-    /// Budget per MaxSAT solve, enforced as a deterministic conflict budget
-    /// (converted at `prophunt_maxsat::maxsat::CONFLICTS_PER_BUDGET_SECOND`).
+    /// Budget per minimum-weight solve, enforced as a deterministic cap on the
+    /// column subsets the exact solver enumerates (converted at
+    /// `prophunt::minweight::SUBSETS_PER_BUDGET_SECOND`).
     pub maxsat_budget: Duration,
     /// Seed override; `None` uses the session runtime's seed.
     pub seed: Option<u64>,

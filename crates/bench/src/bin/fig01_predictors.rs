@@ -51,6 +51,7 @@ fn main() {
         let depth = schedule.depth().unwrap();
         let deff = prophunt
             .estimate_effective_distance(&schedule, 8)
+            .expect("every schedule is validated above")
             .unwrap_or(0);
         let ler = combined_logical_error_rate(&code, &schedule, d, 1e-3, shots, 5, &runtime).rate();
         println!("{name:<16} {depth:>6} {deff:>6} {ler:>10.5}");

@@ -2,7 +2,7 @@
 //! time as a function of the weight (d_eff proxy) of the logical error found.
 
 use prophunt::ambiguity::{find_ambiguous_subgraph, DecodingGraph};
-use prophunt::minweight::min_weight_logical_error;
+use prophunt::minweight::min_weight_logical_error_maxsat;
 use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_circuit::MemoryBasis;
 use prophunt_qec::surface::rotated_surface_code_with_layout;
@@ -33,7 +33,7 @@ fn main() {
                 continue;
             };
             let start = std::time::Instant::now();
-            let Some(sol) = min_weight_logical_error(&sub, Duration::from_secs(30)) else {
+            let Some(sol) = min_weight_logical_error_maxsat(&sub, Duration::from_secs(30)) else {
                 continue;
             };
             let ms = start.elapsed().as_secs_f64() * 1e3;

@@ -1,10 +1,14 @@
 //! Table 2: MaxSAT model sizes and wall-clock times, global formulation vs ambiguous
 //! subgraph formulation.
+//!
+//! Each code also gets an `exact` row: the same subgraph solved by the exact
+//! meet-in-the-middle solver the optimizer uses. The binary exits nonzero if
+//! its weight differs from an optimal MaxSAT weight.
 
 use prophunt::ambiguity::{find_ambiguous_subgraph, DecodingGraph};
 use prophunt::minweight::{
     global_min_weight_logical_error, global_model_size, min_weight_logical_error,
-    subgraph_model_size,
+    min_weight_logical_error_maxsat, subgraph_model_size,
 };
 use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_circuit::MemoryBasis;
@@ -15,7 +19,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
-fn row(name: &str, code: &CssCode, rounds: usize, global_budget: Duration) {
+/// Prints one code's rows; returns `false` if the exact solver's weight differs
+/// from an optimal MaxSAT weight.
+fn row(name: &str, code: &CssCode, rounds: usize, global_budget: Duration) -> bool {
     let schedule = ScheduleSpec::coloration(code);
     let graph = DecodingGraph::build(code, &schedule, rounds, MemoryBasis::Z, 1e-3).unwrap();
     // Global formulation.
@@ -32,21 +38,47 @@ fn row(name: &str, code: &CssCode, rounds: usize, global_budget: Duration) {
         "{:<12} {:<9} {:>9} {:>12} {:>12} {:>28}",
         name, "global", gv, gc, gs, gresult
     );
-    // Subgraph formulation.
+    // Subgraph formulation, then the exact solver on the same subgraph.
     let mut rng = StdRng::seed_from_u64(4);
-    if let Some(sub) = (0..200).find_map(|_| find_ambiguous_subgraph(&graph, &mut rng, 80)) {
-        let (sv, sc, ss) = subgraph_model_size(&sub);
-        let start = std::time::Instant::now();
-        let sol = min_weight_logical_error(&sub, Duration::from_secs(60));
-        let stime = start.elapsed();
-        let sresult = match sol {
-            Some(s) => format!("{:.2} s (weight {})", stime.as_secs_f64(), s.weight),
-            None => "timeout".to_string(),
-        };
-        println!(
-            "{:<12} {:<9} {:>9} {:>12} {:>12} {:>28}",
-            name, "subgraph", sv, sc, ss, sresult
-        );
+    let Some(sub) = (0..200).find_map(|_| find_ambiguous_subgraph(&graph, &mut rng, 80)) else {
+        return true;
+    };
+    let (sv, sc, ss) = subgraph_model_size(&sub);
+    let start = std::time::Instant::now();
+    let sol = min_weight_logical_error_maxsat(&sub, Duration::from_secs(60));
+    let stime = start.elapsed();
+    let sresult = match &sol {
+        Some(s) => format!("{:.2} s (weight {})", stime.as_secs_f64(), s.weight),
+        None => "timeout".to_string(),
+    };
+    println!(
+        "{:<12} {:<9} {:>9} {:>12} {:>12} {:>28}",
+        name, "subgraph", sv, sc, ss, sresult
+    );
+    let start = std::time::Instant::now();
+    let exact = min_weight_logical_error(&sub, Duration::from_secs(60));
+    let etime = start.elapsed();
+    let eresult = match &exact {
+        Some(s) => format!("{:.3} ms (weight {})", etime.as_secs_f64() * 1e3, s.weight),
+        None => "cap reached".to_string(),
+    };
+    println!(
+        "{:<12} {:<9} {:>9} {:>12} {:>12} {:>28}",
+        name, "exact", "-", "-", "-", eresult
+    );
+    match (sol, exact) {
+        (Some(maxsat), exact) if maxsat.optimal => {
+            let agrees = exact.as_ref().map(|e| e.weight) == Some(maxsat.weight);
+            if !agrees {
+                eprintln!(
+                    "{name}: exact weight {:?} differs from the optimal MaxSAT weight {}",
+                    exact.map(|e| e.weight),
+                    maxsat.weight
+                );
+            }
+            agrees
+        }
+        _ => true,
     }
 }
 
@@ -58,7 +90,7 @@ fn main() {
         "{:<12} {:<9} {:>9} {:>12} {:>12} {:>28}",
         "code", "model", "vars", "hard clauses", "soft clauses", "wall clock"
     );
-    row(
+    let mut agree = row(
         "gb_18_2",
         &generalized_bicycle(9, &[0, 1], &[0, 3], "gb_18_2"),
         3,
@@ -66,9 +98,9 @@ fn main() {
     );
     let d = if full { 7 } else { 3 };
     let (surface, _) = rotated_surface_code_with_layout(d);
-    row(&format!("surface_d{d}"), &surface, d.min(5), global_budget);
+    agree &= row(&format!("surface_d{d}"), &surface, d.min(5), global_budget);
     if full {
-        row(
+        agree &= row(
             "gb_36_2",
             &generalized_bicycle(18, &[0, 1], &[0, 5], "gb_36_2"),
             4,
@@ -76,4 +108,7 @@ fn main() {
         );
     }
     println!("* the global formulation is expected to time out, as in the paper.");
+    if !agree {
+        std::process::exit(1);
+    }
 }

@@ -9,8 +9,9 @@
 //! 2. expands random connected subgraphs until they contain *ambiguity* — a logical
 //!    observable not implied by the local syndrome information
 //!    ([`find_ambiguous_subgraph`]),
-//! 3. solves for a minimum-weight logical error inside each ambiguous subgraph with a
-//!    MaxSAT formulation ([`minweight`]),
+//! 3. solves for a minimum-weight logical error inside each ambiguous subgraph, exactly,
+//!    with a meet-in-the-middle GF(2) search; the paper's MaxSAT formulation stays as
+//!    the Table 2 model and test oracle ([`minweight`]),
 //! 4. enumerates candidate circuit changes (CNOT *reordering* and *rescheduling*) from
 //!    the gates behind that logical error ([`changes`]),
 //! 5. prunes candidates that break the circuit or fail to remove the ambiguity, and

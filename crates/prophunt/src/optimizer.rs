@@ -15,7 +15,7 @@ use crate::changes::{
 };
 use crate::minweight::{min_weight_logical_error, MinWeightSolution};
 use crate::CandidateChange;
-use prophunt_circuit::{MemoryBasis, NoiseModel, ScheduleSpec};
+use prophunt_circuit::{CircuitError, MemoryBasis, NoiseModel, ScheduleSpec};
 use prophunt_qec::CssCode;
 use prophunt_runtime::{Runtime, RuntimeConfig};
 use rand::rngs::StdRng;
@@ -35,11 +35,13 @@ pub struct PropHuntConfig {
     /// The noise model the detector error models are built with. Both profiles
     /// use [`NoiseModel::uniform_depolarizing`] at `p = 1e-3`, as in the paper.
     pub noise: NoiseModel,
-    /// Budget per MaxSAT solve, denominated in `Duration` for parity with the
-    /// paper (which uses 360 s) but enforced as a deterministic *conflict*
-    /// budget: the duration is converted through the fixed
-    /// `prophunt_maxsat::maxsat::CONFLICTS_PER_BUDGET_SECOND` exchange rate, so
-    /// the same budget buys the same amount of search on every machine.
+    /// Budget per minimum-weight solve, denominated in `Duration` for parity
+    /// with the paper (which gives MaxSAT 360 s). It is enforced as a
+    /// deterministic cap on the column subsets the exact solver enumerates:
+    /// the duration is converted at the fixed
+    /// [`crate::minweight::SUBSETS_PER_BUDGET_SECOND`] rate, so the same budget
+    /// buys the same search on every machine. A solve that reaches the cap
+    /// finds nothing, and its subgraph is dropped.
     pub maxsat_budget: Duration,
     /// Maximum subgraph-expansion steps before a sample gives up.
     pub max_subgraph_steps: usize,
@@ -48,15 +50,15 @@ pub struct PropHuntConfig {
     /// Shared parallel-runtime configuration: worker-thread bound, chunk size
     /// and the base random seed. The run is a deterministic function of
     /// `(runtime.seed, runtime.chunk_size)`; `runtime.threads` affects
-    /// wall-clock time only. MaxSAT budget exhaustion is part of that
-    /// determinism: because [`Self::maxsat_budget`] is enforced in conflicts,
-    /// a solve that runs out of budget returns the same incumbent everywhere.
+    /// wall-clock time only. Budget exhaustion is part of that determinism:
+    /// because [`Self::maxsat_budget`] is enforced as a subset cap, a solve
+    /// that reaches it drops the same subgraph everywhere.
     pub runtime: RuntimeConfig,
 }
 
 impl PropHuntConfig {
     /// A small configuration suitable for tests and examples: 4 iterations, 40
-    /// samples per iteration, 20 s MaxSAT budget, single-digit wall-clock seconds
+    /// samples per iteration, 20 s solve budget, single-digit wall-clock seconds
     /// on a d=3 surface code. This and [`Self::paper_like`] are the only copies
     /// of the effort profiles; the experiment API's jobs read them from here.
     pub fn quick(rounds: usize) -> Self {
@@ -73,7 +75,7 @@ impl PropHuntConfig {
     }
 
     /// A configuration mirroring the paper's experiment scale (25 iterations, 500
-    /// samples per iteration, 360 s MaxSAT budget). Intended for the benchmark harness.
+    /// samples per iteration, 360 s solve budget). Intended for the benchmark harness.
     pub fn paper_like(rounds: usize) -> Self {
         PropHuntConfig {
             iterations: 25,
@@ -242,11 +244,8 @@ impl PropHunt {
     ///
     /// # Errors
     ///
-    /// Returns the [`prophunt_circuit::CircuitError`] raised by schedule validation.
-    pub fn try_optimize(
-        &self,
-        initial: ScheduleSpec,
-    ) -> Result<OptimizationResult, prophunt_circuit::CircuitError> {
+    /// Returns the [`CircuitError`] raised by schedule validation.
+    pub fn try_optimize(&self, initial: ScheduleSpec) -> Result<OptimizationResult, CircuitError> {
         self.try_optimize_with_observer(initial, |_| {})
     }
 
@@ -257,12 +256,12 @@ impl PropHunt {
     ///
     /// # Errors
     ///
-    /// Returns the [`prophunt_circuit::CircuitError`] raised by schedule validation.
+    /// Returns the [`CircuitError`] raised by schedule validation.
     pub fn try_optimize_with_observer(
         &self,
         initial: ScheduleSpec,
         mut observer: impl FnMut(&IterationRecord),
-    ) -> Result<OptimizationResult, prophunt_circuit::CircuitError> {
+    ) -> Result<OptimizationResult, CircuitError> {
         // Full boundary check (including Tanner-graph coverage): the initial
         // schedule may come from a file rather than a trusted constructor.
         initial.validate_for_code(&self.code)?;
@@ -320,7 +319,7 @@ impl PropHunt {
         // Stage 2: sample ambiguous subgraphs, one task per sample.
         let subgraphs = self.sample_stage(&graph, iteration);
 
-        // Stage 3: minimum-weight logical error per subgraph (MaxSAT).
+        // Stage 3: minimum-weight logical error per subgraph (exact GF(2) search).
         let solved = self.solve_stage(subgraphs);
         let solution_weights: Vec<usize> = solved.iter().map(|(_, s)| s.weight).collect();
         // A subgraph only counts as *found* once it has a minimum-weight
@@ -357,7 +356,7 @@ impl PropHunt {
         &self,
         schedule: &ScheduleSpec,
         basis: MemoryBasis,
-    ) -> Result<Arc<DecodingGraph>, String> {
+    ) -> Result<Arc<DecodingGraph>, CircuitError> {
         let slot = basis_slot(basis);
         {
             let cache = self.graph_cache.lock().expect("graph cache poisoned");
@@ -367,16 +366,13 @@ impl PropHunt {
                 }
             }
         }
-        let graph = Arc::new(
-            DecodingGraph::build_with_noise(
-                &self.code,
-                schedule,
-                self.config.rounds,
-                basis,
-                &self.config.noise,
-            )
-            .map_err(|e| format!("{e:?}"))?,
-        );
+        let graph = Arc::new(DecodingGraph::build_with_noise(
+            &self.code,
+            schedule,
+            self.config.rounds,
+            basis,
+            &self.config.noise,
+        )?);
         let mut cache = self.graph_cache.lock().expect("graph cache poisoned");
         cache[slot] = Some(CachedGraph {
             schedule: schedule.clone(),
@@ -410,9 +406,10 @@ impl PropHunt {
         found
     }
 
-    /// Solves each subgraph's minimum-weight logical error in parallel
-    /// (MaxSAT is a pure function of the subgraph, so order-preserving
-    /// `par_map` keeps the stage deterministic).
+    /// Solves each subgraph's minimum-weight logical error in parallel with
+    /// the exact solver. A solve is a pure function of the subgraph and the
+    /// budget, so order-preserving `par_map` keeps the stage deterministic.
+    /// Subgraphs whose solve reaches the subset cap are dropped.
     fn solve_stage(
         &self,
         subgraphs: Vec<AmbiguousSubgraph>,
@@ -518,16 +515,21 @@ impl PropHunt {
     /// estimating the distance of a schedule the optimizer just analysed does not
     /// rebuild its detector error model.
     ///
-    /// Returns `None` if no ambiguous subgraph was found (which, for a complete decoding
-    /// graph, only happens when the sampling budget is too small).
+    /// Returns `Ok(None)` if no ambiguous subgraph was found and solved (which,
+    /// for a complete decoding graph, only happens when the sampling budget is
+    /// too small).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`CircuitError`] raised by schedule validation.
     pub fn estimate_effective_distance(
         &self,
         schedule: &ScheduleSpec,
         samples: usize,
-    ) -> Option<usize> {
+    ) -> Result<Option<usize>, CircuitError> {
         let mut best: Option<usize> = None;
         for (i, basis) in [MemoryBasis::Z, MemoryBasis::X].into_iter().enumerate() {
-            let graph = self.build_graph(schedule, basis).ok()?;
+            let graph = self.build_graph(schedule, basis)?;
             let stream = self
                 .runtime
                 .seed_stream()
@@ -543,7 +545,7 @@ impl PropHunt {
                 best = Some(best.map_or(weight, |b| b.min(weight)));
             }
         }
-        best
+        Ok(best)
     }
 }
 
@@ -593,7 +595,10 @@ mod tests {
         let config = PropHuntConfig::quick(3).with_seed(11);
         let prophunt = PropHunt::new(code.clone(), config);
         // The poor schedule has d_eff = 2.
-        let before = prophunt.estimate_effective_distance(&poor, 15).unwrap();
+        let before = prophunt
+            .estimate_effective_distance(&poor, 15)
+            .unwrap()
+            .unwrap();
         assert_eq!(
             before, 2,
             "poor schedule should expose weight-2 logical errors"
@@ -606,6 +611,7 @@ mod tests {
         result.final_schedule.validate(prophunt.code()).unwrap();
         let after = prophunt
             .estimate_effective_distance(&result.final_schedule, 15)
+            .unwrap()
             .unwrap();
         assert!(
             after > before,
@@ -629,6 +635,7 @@ mod tests {
         // it must not make the minimum observed logical weight smaller than 3.
         let d_eff = prophunt
             .estimate_effective_distance(&result.final_schedule, 10)
+            .unwrap()
             .unwrap();
         assert!(
             d_eff >= 3,
@@ -652,5 +659,20 @@ mod tests {
         let hand = ScheduleSpec::surface_hand_designed(&code2, &layout2);
         let third = prophunt.build_graph(&hand, MemoryBasis::Z).unwrap();
         assert!(!Arc::ptr_eq(&first, &third));
+    }
+
+    #[test]
+    fn an_invalid_schedule_is_an_error_not_a_missing_distance() {
+        let (code, _layout) = rotated_surface_code_with_layout(3);
+        let mut rng = StdRng::seed_from_u64(4);
+        let invalid = std::iter::repeat_with(|| ScheduleSpec::random(&code, &mut rng))
+            .find(|s| s.validate(&code).is_err())
+            .expect("some random schedule breaks commutation");
+        let expected = invalid.validate(&code).unwrap_err();
+        let prophunt = PropHunt::new(code, PropHuntConfig::quick(3));
+        assert_eq!(
+            prophunt.estimate_effective_distance(&invalid, 4),
+            Err(expected)
+        );
     }
 }

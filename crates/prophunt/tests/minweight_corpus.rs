@@ -1,18 +1,19 @@
-//! Pinned minimum-weight corpus for the MaxSAT stage.
+//! Pinned minimum-weight corpus for the solve stage.
 //!
 //! Ambiguous subgraphs are drawn the way the optimizer's sample stage draws
 //! them (seeded samples, deduplicated by detector set, the smallest kept) on
 //! the `gb_36_2` coloration circuit in both memory bases and on the
 //! `surface_d5` coloration circuit. Every solve's weight and optimality flag
 //! is pinned, every solution is checked to be an undetected logical error of
-//! its subgraph, and on subgraphs with a small null space the pinned weight
-//! is cross-checked against exhaustive enumeration of `ker(H_sub)`.
+//! its subgraph, every weight equals the MaxSAT oracle's, and on subgraphs
+//! with a small null space the pinned weight is cross-checked against
+//! exhaustive enumeration of `ker(H_sub)`.
 //!
 //! Any change to the solver may change *which* minimum-weight error comes
 //! back, but never its weight: a weight that moves here is a solver bug.
 
 use prophunt::ambiguity::{find_ambiguous_subgraph, AmbiguousSubgraph, DecodingGraph};
-use prophunt::minweight::min_weight_logical_error;
+use prophunt::minweight::{min_weight_logical_error, min_weight_logical_error_maxsat};
 use prophunt_circuit::{MemoryBasis, ScheduleSpec};
 use prophunt_gf2::{BitMatrix, BitVec};
 use prophunt_qec::product::generalized_bicycle;
@@ -27,7 +28,7 @@ use std::time::Duration;
 const SAMPLES: u64 = 40;
 const MAX_STEPS: usize = 60;
 const KEEP: usize = 6;
-/// The quick configuration's MaxSAT budget.
+/// The quick configuration's solve budget.
 const BUDGET: Duration = Duration::from_secs(20);
 /// Largest null-space dimension enumerated exhaustively.
 const MAX_KERNEL_DIM: usize = 16;
@@ -83,9 +84,9 @@ fn exhaustive_min_weight(h: &BitMatrix, l: &BitMatrix) -> Option<usize> {
     Some(best.expect("an ambiguous subgraph has a logical error in its null space"))
 }
 
-/// Solves every subgraph of one corpus entry, checks each solution, and
-/// returns `(weight, optimal)` per subgraph plus how many were cross-checked
-/// exhaustively.
+/// Solves every subgraph of one corpus entry, checks each solution against
+/// the MaxSAT oracle, and returns `(weight, optimal)` per subgraph plus how
+/// many were cross-checked exhaustively.
 fn solve_corpus(subgraphs: &[AmbiguousSubgraph]) -> (Vec<(usize, bool)>, usize) {
     let mut pins = Vec::new();
     let mut enumerated = 0;
@@ -100,6 +101,13 @@ fn solve_corpus(subgraphs: &[AmbiguousSubgraph]) -> (Vec<(usize, bool)>, usize) 
         assert!(
             !sub.l_sub.mul_vec(&x).is_zero(),
             "subgraph {i}: solution flips no observable"
+        );
+        let oracle =
+            min_weight_logical_error_maxsat(sub, BUDGET).expect("the oracle finds a model");
+        assert!(oracle.optimal, "subgraph {i}: the oracle proves its weight");
+        assert_eq!(
+            sol.weight, oracle.weight,
+            "subgraph {i}: weight differs from MaxSAT"
         );
         if let Some(exact) = exhaustive_min_weight(&sub.h_sub, &sub.l_sub) {
             if sol.optimal {
@@ -118,8 +126,8 @@ fn gb_36_2() -> CssCode {
     generalized_bicycle(18, &[0, 1], &[0, 5], "gb_36_2")
 }
 
-/// Weights and optimality flags of each corpus, recorded with the solver that
-/// rebuilt a fresh `Solver` at every linear-search bound.
+/// Weights and optimality flags of each corpus, recorded with the MaxSAT
+/// solver that rebuilt a fresh `Solver` at every linear-search bound.
 const GB36_Z_PINS: [(usize, bool); KEEP] = [
     (6, true),
     (6, true),

@@ -83,8 +83,8 @@ pub struct SearchParams {
     pub noise: NoiseModel,
     /// Subgraph-expansion samples per MaxSAT-descent iteration.
     pub samples_per_iteration: usize,
-    /// Budget per MaxSAT solve. Enforced as a deterministic conflict budget
-    /// (converted at a fixed exchange rate, as in
+    /// Budget per minimum-weight solve. Enforced as a deterministic cap on
+    /// enumerated subsets (converted at a fixed rate, as in
     /// [`prophunt::PropHuntConfig`]), so exhausting it cannot introduce
     /// machine-dependent results.
     pub maxsat_budget: Duration,

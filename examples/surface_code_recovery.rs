@@ -15,13 +15,19 @@ fn main() {
         let hand = ScheduleSpec::surface_hand_designed(&code, &layout);
 
         let prophunt = PropHunt::new(code.clone(), PropHuntConfig::quick(d));
-        let d_eff_coloration = prophunt.estimate_effective_distance(&coloration, 15);
-        let d_eff_hand = prophunt.estimate_effective_distance(&hand, 15);
+        let d_eff_coloration = prophunt
+            .estimate_effective_distance(&coloration, 15)
+            .expect("coloration schedule is valid");
+        let d_eff_hand = prophunt
+            .estimate_effective_distance(&hand, 15)
+            .expect("hand-designed schedule is valid");
 
         let result = prophunt
             .try_optimize(coloration)
             .expect("coloration schedule is valid");
-        let d_eff_optimized = prophunt.estimate_effective_distance(&result.final_schedule, 15);
+        let d_eff_optimized = prophunt
+            .estimate_effective_distance(&result.final_schedule, 15)
+            .expect("the optimizer keeps the schedule valid");
 
         println!("=== surface code d = {d} ===");
         println!(

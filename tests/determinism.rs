@@ -60,7 +60,7 @@ fn effective_distance_is_identical_across_thread_counts() {
         PropHunt::new(code.clone(), config).estimate_effective_distance(&poor, 12)
     };
     let reference = estimate(1);
-    assert_eq!(reference, Some(2), "poor d=3 schedule has d_eff = 2");
+    assert_eq!(reference, Ok(Some(2)), "poor d=3 schedule has d_eff = 2");
     for threads in [2, 8] {
         assert_eq!(estimate(threads), reference, "threads = {threads}");
     }

@@ -67,9 +67,13 @@ fn prophunt_improves_a_poor_surface_schedule_end_to_end() {
     let result = prophunt.try_optimize(poor.clone()).unwrap();
     assert!(result.total_changes_applied() >= 1);
 
-    let before_deff = prophunt.estimate_effective_distance(&poor, 12).unwrap();
+    let before_deff = prophunt
+        .estimate_effective_distance(&poor, 12)
+        .unwrap()
+        .unwrap();
     let after_deff = prophunt
         .estimate_effective_distance(&result.final_schedule, 12)
+        .unwrap()
         .unwrap();
     assert!(
         after_deff > before_deff,
