@@ -17,6 +17,12 @@
 //! reset or measurement updates those rows with a few word XORs, and a fault's signature
 //! is the XOR of the rows its Pauli components select at its own position. A build costs
 //! `O((operations + faults) · words)` instead of `O(faults · remaining circuit)`.
+//!
+//! The sweep is public as [`FaultSignatures`]: per-fault packed words, detector bits
+//! first, then observable bits. [`DetectorErrorModel::from_faults`] is that sweep followed
+//! by the merge into mechanisms; candidate verification in `prophunt` reads the
+//! signatures directly, because it needs a few columns of a changed circuit's `H`/`L`,
+//! not mechanism objects with their sources.
 
 use crate::builder::MemoryExperiment;
 use crate::noise::{Fault, NoiseModel, SparsePauli};
@@ -84,28 +90,25 @@ impl DetectorErrorModel {
     /// Builds a detector error model from an explicit fault list (used by tests and by
     /// effective-distance analyses that want unit-probability faults).
     ///
-    /// Signatures come from one backward sensitivity sweep (see the module docs); the
-    /// faults are then merged in list order, so mechanism order, source order and the
-    /// probability-combination order follow `faults`. Faults that flip nothing —
-    /// including faults placed at a moment past the end of the circuit — are dropped.
+    /// The faults are signed by one [`FaultSignatures`] sweep and then merged in list
+    /// order, so mechanism order, source order and the probability-combination order
+    /// follow `faults`: mechanism `i` is the `i`-th distinct nonzero signature in
+    /// first-appearance order. Faults that flip nothing — including faults placed at a
+    /// moment past the end of the circuit — are dropped.
     pub fn from_faults(experiment: &MemoryExperiment, faults: &[Fault]) -> Self {
-        let num_detectors = experiment.num_detectors();
-        let words = (num_detectors + experiment.num_observables())
-            .div_ceil(64)
-            .max(1);
-        let signatures = fault_signatures(experiment, faults, words);
+        let signatures = FaultSignatures::new(experiment, faults);
 
         // Lookup-only index from signature to mechanism: never iterated.
         let mut merged: HashMap<&[u64], usize> = HashMap::new();
         let mut errors: Vec<ErrorMechanism> = Vec::new();
-        for (fault, signature) in faults.iter().zip(signatures.chunks_exact(words)) {
+        for (fault, signature) in faults.iter().zip(signatures.iter()) {
             if signature.iter().all(|&w| w == 0) {
                 continue;
             }
             let source = FaultSource {
                 moment: fault.moment,
                 op: fault.op,
-                error: fault.error.clone(),
+                error: fault.error,
             };
             match merged.get(signature) {
                 Some(&idx) => {
@@ -116,7 +119,7 @@ impl DetectorErrorModel {
                 }
                 None => {
                     merged.insert(signature, errors.len());
-                    let (detectors, observables) = signature_indices(signature, num_detectors);
+                    let (detectors, observables) = signatures.split(signature);
                     errors.push(ErrorMechanism {
                         probability: fault.probability,
                         detectors,
@@ -128,8 +131,8 @@ impl DetectorErrorModel {
         }
 
         DetectorErrorModel {
-            num_detectors,
-            num_observables: experiment.num_observables(),
+            num_detectors: signatures.num_detectors(),
+            num_observables: signatures.num_observables(),
             errors,
             sampler_tables: std::sync::OnceLock::new(),
         }
@@ -295,13 +298,18 @@ impl DetectorErrorModel {
     }
 }
 
-/// Computes every fault's detector/observable signature with one backward sweep.
+/// Every fault's detector/observable signature, from one backward sweep over the
+/// circuit — the public form of the sweep behind [`DetectorErrorModel::from_faults`].
 ///
-/// Returns `words` words per fault, in `faults` order: bit `d < num_detectors` is
-/// detector `d`, bit `num_detectors + o` is observable `o`. The sweep keeps, per qubit,
-/// the rows `sx[q]` / `sz[q]` of detectors and observables that an `X` / `Z` on `q`
-/// would flip from the current position on, and walks the moments last to first and
-/// each moment's operations in reverse list order:
+/// Fault `f` owns [`FaultSignatures::words`] words, in `faults` order: bit
+/// `d < num_detectors` is detector `d`, bit `num_detectors + o` is observable `o`, and
+/// the bits past the last observable are zero. Two faults belong to the same
+/// [`ErrorMechanism`] exactly when their signatures are equal and nonzero. Callers that read only a few columns of a changed circuit's `H`/`L`
+/// (candidate verification) sign the faults and skip the merge.
+///
+/// The sweep keeps, per qubit, the rows `sx[q]` / `sz[q]` of detectors and observables
+/// that an `X` / `Z` on `q` would flip from the current position on, and walks the
+/// moments last to first and each moment's operations in reverse list order:
 ///
 /// - `CNOT(c, t)`: `sx[c] ^= sx[t]`, `sz[t] ^= sz[c]` (an `X` on the control spreads to
 ///   the target, a `Z` on the target spreads to the control);
@@ -315,8 +323,83 @@ impl DetectorErrorModel {
 /// `sx[q]` over its `X` components and `sz[q]` over its `Z` components at that position.
 /// Faults are bucketed by position with a counting sort, so the fault list may come in
 /// any order; a fault at a moment past the end of the circuit keeps an all-zero
-/// signature.
-fn fault_signatures(experiment: &MemoryExperiment, faults: &[Fault], words: usize) -> Vec<u64> {
+/// signature. A sweep costs `O((operations + faults) · words)`.
+#[derive(Debug, Clone)]
+pub struct FaultSignatures {
+    num_detectors: usize,
+    num_observables: usize,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl FaultSignatures {
+    /// Signs every fault of `faults` against the detectors and observables of
+    /// `experiment` with one backward sweep.
+    pub fn new(experiment: &MemoryExperiment, faults: &[Fault]) -> Self {
+        let num_detectors = experiment.num_detectors();
+        let num_observables = experiment.num_observables();
+        let words = (num_detectors + num_observables).div_ceil(64).max(1);
+        FaultSignatures {
+            num_detectors,
+            num_observables,
+            words,
+            bits: sweep(experiment, faults, words),
+        }
+    }
+
+    /// Returns the number of detectors (the low bits of each signature).
+    pub fn num_detectors(&self) -> usize {
+        self.num_detectors
+    }
+
+    /// Returns the number of logical observables (the bits after the detectors).
+    pub fn num_observables(&self) -> usize {
+        self.num_observables
+    }
+
+    /// Returns the number of `u64` words per signature.
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Returns the signature of fault `fault` (its index in the signed list).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fault` is out of range.
+    pub fn get(&self, fault: usize) -> &[u64] {
+        &self.bits[fault * self.words..(fault + 1) * self.words]
+    }
+
+    /// Iterates over the signatures in fault order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.bits.chunks_exact(self.words)
+    }
+
+    /// Splits a signature of this layout — one of [`FaultSignatures::get`], or an XOR
+    /// of several — into its sorted detector and observable indices.
+    pub fn split(&self, signature: &[u64]) -> (Vec<usize>, Vec<usize>) {
+        let mut detectors = Vec::new();
+        let mut observables = Vec::new();
+        for (k, &word) in signature.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let bit = k * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if bit < self.num_detectors {
+                    detectors.push(bit);
+                } else {
+                    observables.push(bit - self.num_detectors);
+                }
+            }
+        }
+        (detectors, observables)
+    }
+}
+
+/// The backward sweep of [`FaultSignatures`]: `words` words per fault, in `faults`
+/// order.
+fn sweep(experiment: &MemoryExperiment, faults: &[Fault], words: usize) -> Vec<u64> {
     let circuit = &experiment.circuit;
     let num_detectors = experiment.num_detectors();
 
@@ -384,7 +467,7 @@ fn fault_signatures(experiment: &MemoryExperiment, faults: &[Fault], words: usiz
             let p = first[m] + s;
             for &f in &by_position[bucket_start[p]..bucket_start[p + 1]] {
                 let signature = &mut signatures[f * words..(f + 1) * words];
-                for &(q, pauli) in &faults[f].error {
+                for &(q, pauli) in faults[f].error.iter() {
                     if pauli.has_x() {
                         xor_into(signature, &sx[row(q)]);
                     }
@@ -435,25 +518,6 @@ fn xor_row(rows: &mut [u64], dst: usize, src: usize, words: usize) {
     for k in 0..words {
         rows[dst * words + k] ^= rows[src * words + k];
     }
-}
-
-/// Splits a signature into its sorted detector and observable indices.
-fn signature_indices(signature: &[u64], num_detectors: usize) -> (Vec<usize>, Vec<usize>) {
-    let mut detectors = Vec::new();
-    let mut observables = Vec::new();
-    for (k, &word) in signature.iter().enumerate() {
-        let mut rest = word;
-        while rest != 0 {
-            let bit = k * 64 + rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            if bit < num_detectors {
-                detectors.push(bit);
-            } else {
-                observables.push(bit - num_detectors);
-            }
-        }
-    }
-    (detectors, observables)
 }
 
 /// The mechanism list of a [`DetectorErrorModel`] flattened into CSR-style
@@ -778,7 +842,7 @@ mod tests {
         let mut merged: HashMap<(Vec<usize>, Vec<usize>), usize> = HashMap::new();
         let mut errors: Vec<ErrorMechanism> = Vec::new();
         for fault in faults {
-            for &(q, pauli) in &fault.error {
+            for &(q, pauli) in fault.error.iter() {
                 if pauli.has_x() {
                     frame_x[q] = !frame_x[q];
                 }
@@ -864,7 +928,7 @@ mod tests {
             let source = FaultSource {
                 moment: fault.moment,
                 op: fault.op,
-                error: fault.error.clone(),
+                error: fault.error,
             };
             let key = (detectors.clone(), observables.clone());
             match merged.get(&key) {
@@ -1055,7 +1119,7 @@ mod tests {
                 eat(a as u64);
                 eat(b as u64);
                 eat(src.error.len() as u64);
-                for &(q, p) in &src.error {
+                for &(q, p) in src.error.iter() {
                     eat(q as u64);
                     eat(u64::from(p.has_x()) | u64::from(p.has_z()) << 1);
                 }
@@ -1084,6 +1148,54 @@ mod tests {
                 fingerprint,
                 "{basis:?} fingerprint"
             );
+        }
+    }
+
+    #[test]
+    fn mechanisms_are_the_distinct_nonzero_sweep_signatures_in_first_appearance_order() {
+        // `from_faults` is the public sweep plus a merge: mechanism `i` must be the
+        // `i`-th distinct nonzero signature, with every fault of that signature as a
+        // source, in fault order. Idle-only noise gives many repeated signatures.
+        let (code, layout) = rotated_surface_code_with_layout(3);
+        let schedule = ScheduleSpec::surface_poor(&code, &layout);
+        for noise in [
+            NoiseModel::uniform_depolarizing(1e-3),
+            NoiseModel::si1000(2e-3),
+            NoiseModel::noiseless().with_idle(2e-3),
+        ] {
+            for basis in [MemoryBasis::Z, MemoryBasis::X] {
+                let exp = MemoryExperiment::build(&code, &schedule, 3, basis).unwrap();
+                let faults = noise.enumerate_faults(&exp.circuit);
+                let signatures = FaultSignatures::new(&exp, &faults);
+                assert_eq!(signatures.iter().len(), faults.len());
+                let mut distinct: Vec<(&[u64], Vec<usize>)> = Vec::new();
+                for (f, signature) in signatures.iter().enumerate() {
+                    let (dets, obs) = signatures.split(signature);
+                    assert!(obs.iter().all(|&o| o < signatures.num_observables()));
+                    if dets.is_empty() && obs.is_empty() {
+                        continue;
+                    }
+                    match distinct.iter_mut().find(|(s, _)| *s == signature) {
+                        Some((_, members)) => members.push(f),
+                        None => distinct.push((signature, vec![f])),
+                    }
+                }
+                let dem = DetectorErrorModel::from_faults(&exp, &faults);
+                assert_eq!(dem.num_errors(), distinct.len(), "{noise:?} {basis:?}");
+                for (mech, (signature, members)) in dem.errors().iter().zip(&distinct) {
+                    let (dets, obs) = signatures.split(signature);
+                    assert_eq!((&mech.detectors, &mech.observables), (&dets, &obs));
+                    let want: Vec<FaultSource> = members
+                        .iter()
+                        .map(|&f| FaultSource {
+                            moment: faults[f].moment,
+                            op: faults[f].op,
+                            error: faults[f].error,
+                        })
+                        .collect();
+                    assert_eq!(mech.sources, want);
+                }
+            }
         }
     }
 
@@ -1145,9 +1257,9 @@ mod tests {
             .errors()
             .iter()
             .find(|e| {
-                e.sources.iter().any(|s| {
-                    s.moment == 0 && s.op == Op::ResetZ(4) && s.error == vec![(4, Pauli::X)]
-                })
+                e.sources
+                    .iter()
+                    .any(|s| s.moment == 0 && s.op == Op::ResetZ(4) && *s.error == [(4, Pauli::X)])
             })
             .expect("central data qubit reset fault must appear in the DEM");
         // It flips the two round-0 detectors of the Z stabilizers containing qubit 4 and

@@ -24,8 +24,9 @@
 //!    detectors/observables an `X` or `Z` on it would flip (one bit each, 64 per word),
 //!    and a fault's signature is the XOR of the rows at its position. That costs
 //!    `O((operations + faults) · words)` per model rather than one forward propagation
-//!    per fault. Equal signatures merge into the circuit-level `H`/`L` columns; a
-//!    Monte-Carlo [`dem::DemSampler`] samples the result.
+//!    per fault. The sweep alone is [`dem::FaultSignatures`]; equal signatures merge
+//!    into the circuit-level `H`/`L` columns; a Monte-Carlo [`dem::DemSampler`] samples
+//!    the result.
 //!
 //! # Example
 //!
@@ -54,7 +55,7 @@ pub mod ops;
 pub mod schedule;
 
 pub use builder::{MemoryBasis, MemoryExperiment};
-pub use dem::{DemSampler, DetectorErrorModel, ErrorMechanism, FaultSource};
+pub use dem::{DemSampler, DetectorErrorModel, ErrorMechanism, FaultSignatures, FaultSource};
 pub use noise::NoiseModel;
 pub use ops::{Circuit, Op};
 pub use schedule::eval::{EvalOp, Move, ScheduleEval};

@@ -34,8 +34,69 @@ impl Pauli {
     }
 }
 
-/// A Pauli error on a small set of qubits, stored sparsely.
-pub type SparsePauli = Vec<(usize, Pauli)>;
+/// The Pauli error of an elementary fault: one or two `(qubit, Pauli)` terms, stored
+/// inline so that enumerating a circuit's faults allocates nothing per fault.
+///
+/// It dereferences to the slice of its terms, in push order.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SparsePauli {
+    /// The terms; slots past `len` hold `(0, Pauli::X)`, so derived equality and
+    /// hashing see only the terms.
+    terms: [(usize, Pauli); 2],
+    len: u8,
+}
+
+impl SparsePauli {
+    /// The identity: no terms.
+    pub fn new() -> Self {
+        SparsePauli {
+            terms: [(0, Pauli::X); 2],
+            len: 0,
+        }
+    }
+
+    /// The single-qubit error `pauli` on `qubit`.
+    pub fn single(qubit: usize, pauli: Pauli) -> Self {
+        let mut error = Self::new();
+        error.push((qubit, pauli));
+        error
+    }
+
+    /// Appends a term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the error already has two terms: elementary faults act on at most
+    /// the two qubits of a gate.
+    pub fn push(&mut self, term: (usize, Pauli)) {
+        assert!(
+            self.len < 2,
+            "an elementary fault acts on at most two qubits"
+        );
+        self.terms[usize::from(self.len)] = term;
+        self.len += 1;
+    }
+}
+
+impl Default for SparsePauli {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::ops::Deref for SparsePauli {
+    type Target = [(usize, Pauli)];
+
+    fn deref(&self) -> &[(usize, Pauli)] {
+        &self.terms[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for SparsePauli {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// Circuit-level noise parameters.
 ///
@@ -214,7 +275,7 @@ impl NoiseModel {
                                     moment: mi,
                                     op_index: oi,
                                     op: *op,
-                                    error: vec![(q, pauli)],
+                                    error: SparsePauli::single(q, pauli),
                                     probability,
                                     pre_op: false,
                                 });
@@ -227,7 +288,7 @@ impl NoiseModel {
                                 moment: mi,
                                 op_index: oi,
                                 op: *op,
-                                error: vec![(q, Pauli::X)],
+                                error: SparsePauli::single(q, Pauli::X),
                                 probability: self.p_measure,
                                 pre_op: true,
                             });
@@ -239,7 +300,7 @@ impl NoiseModel {
                                 moment: mi,
                                 op_index: oi,
                                 op: *op,
-                                error: vec![(q, Pauli::Z)],
+                                error: SparsePauli::single(q, Pauli::Z),
                                 probability: self.p_measure,
                                 pre_op: true,
                             });
@@ -258,7 +319,7 @@ impl NoiseModel {
                             moment: mi,
                             op_index: usize::MAX,
                             op: Op::H(q), // placeholder op descriptor for idle locations
-                            error: vec![(q, pauli)],
+                            error: SparsePauli::single(q, pauli),
                             probability,
                             pre_op: true,
                         });
@@ -326,6 +387,20 @@ mod tests {
     }
 
     #[test]
+    fn sparse_paulis_compare_by_their_terms_and_hold_at_most_two() {
+        let mut pair = SparsePauli::new();
+        pair.push((3, Pauli::Y));
+        assert_eq!(pair, SparsePauli::single(3, Pauli::Y));
+        assert_eq!(*pair, [(3, Pauli::Y)]);
+        pair.push((0, Pauli::X));
+        // The second term equals the unused-slot filler, yet the length tells them apart.
+        assert_ne!(pair, SparsePauli::single(3, Pauli::Y));
+        assert_eq!(format!("{pair:?}"), "[(3, Y), (0, X)]");
+        let third = std::panic::catch_unwind(move || pair.push((1, Pauli::Z)));
+        assert!(third.is_err());
+    }
+
+    #[test]
     fn noiseless_model_has_no_faults() {
         let c = small_circuit();
         assert!(NoiseModel::noiseless().enumerate_faults(&c).is_empty());
@@ -367,7 +442,7 @@ mod tests {
         // For a single-qubit op, Z must now carry eta/(eta+1) of the budget.
         let reset_z: f64 = faults
             .iter()
-            .filter(|f| matches!(f.op, Op::ResetZ(_)) && f.error == vec![(0, Pauli::Z)])
+            .filter(|f| matches!(f.op, Op::ResetZ(_)) && *f.error == [(0, Pauli::Z)])
             .map(|f| f.probability)
             .sum();
         assert!((reset_z - 1e-3 * 10.0 / 11.0).abs() < 1e-15, "{reset_z}");

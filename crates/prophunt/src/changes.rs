@@ -3,9 +3,12 @@
 
 use crate::ambiguity::{is_ambiguous, AmbiguousSubgraph, DecodingGraph};
 use crate::minweight::MinWeightSolution;
+use prophunt_circuit::noise::Fault;
 use prophunt_circuit::{
-    EvalOp, MemoryBasis, NoiseModel, Op, ScheduleEval, ScheduleSpec, StabilizerId,
+    EvalOp, FaultSignatures, MemoryBasis, MemoryExperiment, NoiseModel, Op, ScheduleEval,
+    ScheduleSpec, StabilizerId,
 };
+use prophunt_gf2::BitMatrix;
 use prophunt_qec::{CssCode, StabilizerKind};
 use rand::Rng;
 
@@ -201,24 +204,23 @@ pub fn enumerate_candidates<R: Rng>(
     candidates
 }
 
-/// Prunes a candidate change (paper Section 5.4).
+/// Why [`check_candidate`] pruned a candidate (paper Section 5.4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rejection {
+    /// The changed schedule is not a valid SM circuit: it breaks commutation or its
+    /// CNOTs cannot be scheduled.
+    Invalid,
+    /// The original syndrome set is still ambiguous under the changed circuit.
+    StillAmbiguous,
+    /// The solution's faults, replayed in the changed circuit, still form an
+    /// undetected logical error.
+    StillLogical,
+}
+
+/// Prunes a candidate change (paper Section 5.4): `Some` with the changed schedule
+/// and its depth when it survives, `None` when it is pruned.
 ///
-/// The candidate survives when the changed schedule is a valid SM circuit (commutation
-/// preserved, CNOTs schedulable), the original ambiguous syndrome set is no longer
-/// ambiguous under the new circuit-level matrices, and the updated counterparts of the
-/// solution's faults no longer form an undetected logical error.
-///
-/// Validity and depth are evaluated incrementally: the candidate's primitive
-/// operations are applied to a clone of `base_eval` (whose parity counters and
-/// layered dependency DAG are kept up to date in O(pairs touched + cone))
-/// instead of re-running the full commutation scan and DAG rebuild per
-/// candidate.
-///
-/// The changed circuit's `H`/`L` are rebuilt in full: one backward sensitivity
-/// sweep over the circuit ([`prophunt_circuit::DetectorErrorModel::from_faults`]),
-/// `O((operations + faults) · words)` with one bit per detector and observable,
-/// instead of one forward propagation per fault. The solution's faults are then
-/// matched against the new model's sources in a single scan.
+/// This is [`check_candidate`] without the rejection reason.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_candidate(
     code: &CssCode,
@@ -231,79 +233,187 @@ pub fn verify_candidate(
     basis: MemoryBasis,
     noise: &NoiseModel,
 ) -> Option<VerifiedChange> {
+    check_candidate(
+        code,
+        base_eval,
+        candidate,
+        subgraph,
+        solution,
+        original_graph,
+        rounds,
+        basis,
+        noise,
+    )
+    .ok()
+}
+
+/// Prunes a candidate change (paper Section 5.4), naming the reason when it fails.
+///
+/// The candidate survives when the changed schedule is a valid SM circuit (commutation
+/// preserved, CNOTs schedulable), the original ambiguous syndrome set is no longer
+/// ambiguous under the new circuit-level matrices, and the updated counterparts of the
+/// solution's faults no longer form an undetected logical error.
+///
+/// Validity and depth are evaluated incrementally: the candidate's primitive
+/// operations are applied to a clone of `base_eval` (whose parity counters and
+/// layered dependency DAG are kept up to date in O(pairs touched + cone))
+/// instead of re-running the full commutation scan and DAG rebuild per
+/// candidate.
+///
+/// The changed circuit's detector error model is never built. Its faults are signed by
+/// one backward sweep ([`FaultSignatures`], `O((operations + faults) · words)`), and
+/// both questions are answered from the signatures:
+///
+/// - *Still ambiguous*: the columns are the signatures of faults that flip at least one
+///   detector, all of them in `subgraph.detectors`, projected onto those rows plus the
+///   observables. Repeated or reordered columns do not change `L' ⊄ rowspace(H')`, so
+///   the faults need no merge into mechanisms.
+/// - *Still logical*: each solution mechanism's first fault `(op, error, round)` is
+///   matched against the new faults with a nonzero signature. A fault's mechanism is
+///   identified by the first fault with an equal signature, which is the merged model's
+///   mechanism order, so "the last matching mechanism wins" and the dedup before the
+///   XOR are those of a rebuilt model. The faults still form a logical error iff the
+///   XOR of the distinct matched signatures flips no detector and some observable.
+#[allow(clippy::too_many_arguments)]
+pub fn check_candidate(
+    code: &CssCode,
+    base_eval: &ScheduleEval,
+    candidate: &CandidateChange,
+    subgraph: &AmbiguousSubgraph,
+    solution: &MinWeightSolution,
+    original_graph: &DecodingGraph,
+    rounds: usize,
+    basis: MemoryBasis,
+    noise: &NoiseModel,
+) -> Result<VerifiedChange, Rejection> {
     let mut eval = base_eval.clone();
     // Circuit validity (commutation parity + acyclic layout) and depth, in one
     // incremental application.
-    let depth = eval.try_ops(&candidate.eval_ops())?;
+    let depth = eval
+        .try_ops(&candidate.eval_ops())
+        .ok_or(Rejection::Invalid)?;
     let schedule = eval.into_spec();
-    // Rebuild the circuit-level matrices under the changed schedule.
-    let new_graph = DecodingGraph::build_with_noise(code, &schedule, rounds, basis, noise).ok()?;
-    // Ambiguity removal on the original syndrome bits.
-    let (h_sub, l_sub, _) = new_graph.restricted_matrices(&subgraph.detectors);
-    if is_ambiguous(&h_sub, &l_sub) {
-        return None;
+    let experiment =
+        MemoryExperiment::build(code, &schedule, rounds, basis).map_err(|_| Rejection::Invalid)?;
+    let faults = noise.enumerate_faults(&experiment.circuit);
+    let signatures = FaultSignatures::new(&experiment, &faults);
+    if still_ambiguous(&signatures, &subgraph.detectors) {
+        return Err(Rejection::StillAmbiguous);
     }
-    // The updated counterparts of the solution's faults must not be a logical error.
-    if updated_faults_still_logical(original_graph, &new_graph, solution) {
-        return None;
+    if still_logical(original_graph, &experiment, &faults, &signatures, solution) {
+        return Err(Rejection::StillLogical);
     }
-    Some(VerifiedChange {
+    Ok(VerifiedChange {
         change: candidate.clone(),
         schedule,
         depth,
     })
 }
 
-/// Checks whether the faults behind `solution`, replayed in the new circuit, still form
-/// an undetected logical error (`H'E' = 0` and `L'E' ≠ 0`).
-fn updated_faults_still_logical(
-    original: &DecodingGraph,
-    updated: &DecodingGraph,
-    solution: &MinWeightSolution,
-) -> bool {
-    match map_solution_faults(original, updated, solution) {
-        Some(mapped) => crate::minweight::is_undetected_logical_error(updated, &mapped),
-        None => false,
+/// Whether the syndrome set `detectors` (sorted) is ambiguous in the signed circuit:
+/// [`is_ambiguous`] on the faults whose detectors are nonempty and inside `detectors`.
+fn still_ambiguous(signatures: &FaultSignatures, detectors: &[usize]) -> bool {
+    // `inside`: the subgraph's detector bits; `outside`: every other detector bit.
+    let mut inside = vec![0u64; signatures.words()];
+    let mut outside = vec![0u64; signatures.words()];
+    for d in 0..signatures.num_detectors() {
+        outside[d / 64] |= 1 << (d % 64);
     }
+    for &d in detectors {
+        inside[d / 64] |= 1 << (d % 64);
+        outside[d / 64] &= !(1 << (d % 64));
+    }
+    let disjoint =
+        |signature: &[u64], mask: &[u64]| signature.iter().zip(mask).all(|(s, m)| s & m == 0);
+    let columns: Vec<&[u64]> = signatures
+        .iter()
+        .filter(|signature| !disjoint(signature, &inside) && disjoint(signature, &outside))
+        .collect();
+    let mut h = BitMatrix::zeros(detectors.len(), columns.len());
+    let mut l = BitMatrix::zeros(signatures.num_observables(), columns.len());
+    for (col, signature) in columns.iter().enumerate() {
+        let (flipped, observables) = signatures.split(signature);
+        for d in flipped {
+            let row = detectors
+                .binary_search(&d)
+                .expect("detector inside the subgraph");
+            h.set(row, col, true);
+        }
+        for o in observables {
+            l.set(o, col, true);
+        }
+    }
+    is_ambiguous(&h, &l)
 }
 
-/// Maps each solution mechanism of `original` to the mechanism of `updated` whose
-/// sources contain the same fault: same op, same Pauli error, same round. Returns the
-/// sorted, deduplicated new indices, or `None` when a solution mechanism has no source.
-///
-/// When several new mechanisms carry a matching source, the last one in mechanism and
-/// source order wins: idle faults share the placeholder `Op::H(q)` descriptor within a
-/// round, so a key can repeat when idle noise is on. A fault that vanished from the new
-/// model is treated as removed, which can only make the pattern detectable.
-fn map_solution_faults(
+/// Checks whether the faults behind `solution`, replayed in the signed circuit, still
+/// form an undetected logical error (`H'E' = 0` and `L'E' ≠ 0`): whether the XOR of the
+/// signatures of their [`solution_mechanisms`] flips no detector and some observable.
+fn still_logical(
     original: &DecodingGraph,
-    updated: &DecodingGraph,
+    experiment: &MemoryExperiment,
+    faults: &[Fault],
+    signatures: &FaultSignatures,
+    solution: &MinWeightSolution,
+) -> bool {
+    let Some(mechanisms) = solution_mechanisms(original, experiment, faults, signatures, solution)
+    else {
+        return false;
+    };
+    let mut flips = vec![0u64; signatures.words()];
+    for m in mechanisms {
+        for (acc, w) in flips.iter_mut().zip(signatures.get(m)) {
+            *acc ^= w;
+        }
+    }
+    let (detectors, observables) = signatures.split(&flips);
+    detectors.is_empty() && !observables.is_empty()
+}
+
+/// Maps each solution mechanism of `original` to the mechanism of the signed circuit
+/// that carries the same fault: same op, same Pauli error, same round. A mechanism is
+/// named by its first fault (the first with its nonzero signature; first appearance is
+/// the merged model's mechanism order). Returns the sorted, deduplicated names, or
+/// `None` when a solution mechanism has no source (a model read from a file).
+///
+/// When several mechanisms carry a matching fault, the last one in mechanism order
+/// wins: idle faults share the placeholder `Op::H(q)` descriptor within a round, so a
+/// key can repeat when idle noise is on. A fault that vanished from the new model is
+/// treated as removed, which can only make the pattern detectable.
+fn solution_mechanisms(
+    original: &DecodingGraph,
+    experiment: &MemoryExperiment,
+    faults: &[Fault],
+    signatures: &FaultSignatures,
     solution: &MinWeightSolution,
 ) -> Option<Vec<usize>> {
     let mut keys = Vec::with_capacity(solution.errors.len());
     for &e in &solution.errors {
         let src = original.dem().error(e).sources.first()?;
-        let round = original.experiment().round_of_moment(src.moment);
-        keys.push((src, round));
+        keys.push((src, original.experiment().round_of_moment(src.moment)));
     }
-    // One scan over the new sources against the (few) solution keys, without clones.
+    let mechanism_of = |f: usize| {
+        let signature = signatures.get(f);
+        (0..=f)
+            .find(|&g| signatures.get(g) == signature)
+            .expect("fault f itself matches")
+    };
     let mut found: Vec<Option<usize>> = vec![None; keys.len()];
-    for (i, err) in updated.dem().errors().iter().enumerate() {
-        for src in &err.sources {
-            for (slot, &(key, round)) in found.iter_mut().zip(&keys) {
-                if src.op == key.op
-                    && src.error == key.error
-                    && updated.experiment().round_of_moment(src.moment) == round
-                {
-                    *slot = Some(i);
-                }
+    for (f, fault) in faults.iter().enumerate() {
+        for (slot, &(key, round)) in found.iter_mut().zip(&keys) {
+            if fault.op == key.op
+                && fault.error == key.error
+                && experiment.round_of_moment(fault.moment) == round
+                && signatures.get(f).iter().any(|&w| w != 0)
+            {
+                *slot = (*slot).max(Some(mechanism_of(f)));
             }
         }
     }
-    let mut mapped: Vec<usize> = found.into_iter().flatten().collect();
-    mapped.sort_unstable();
-    mapped.dedup();
-    Some(mapped)
+    let mut mechanisms: Vec<usize> = found.into_iter().flatten().collect();
+    mechanisms.sort_unstable();
+    mechanisms.dedup();
+    Some(mechanisms)
 }
 
 /// Selects at most one verified change per subgraph (minimum depth, Section 5.5) and
@@ -344,6 +454,182 @@ mod tests {
     use rand::SeedableRng;
     use std::time::Duration;
 
+    /// The verification `check_candidate` replaced, kept as its oracle: the changed
+    /// circuit's full decoding graph, its restricted matrices, and a scan of every new
+    /// mechanism's sources for the solution's faults.
+    #[allow(clippy::too_many_arguments)]
+    fn check_by_rebuild(
+        code: &CssCode,
+        base_eval: &ScheduleEval,
+        candidate: &CandidateChange,
+        subgraph: &AmbiguousSubgraph,
+        solution: &MinWeightSolution,
+        original_graph: &DecodingGraph,
+        rounds: usize,
+        basis: MemoryBasis,
+        noise: &NoiseModel,
+    ) -> Result<VerifiedChange, Rejection> {
+        let mut eval = base_eval.clone();
+        let depth = eval
+            .try_ops(&candidate.eval_ops())
+            .ok_or(Rejection::Invalid)?;
+        let schedule = eval.into_spec();
+        let new_graph = DecodingGraph::build_with_noise(code, &schedule, rounds, basis, noise)
+            .map_err(|_| Rejection::Invalid)?;
+        let (h_sub, l_sub, _) = new_graph.restricted_matrices(&subgraph.detectors);
+        if is_ambiguous(&h_sub, &l_sub) {
+            return Err(Rejection::StillAmbiguous);
+        }
+        let still_logical =
+            map_solution_faults(original_graph, &new_graph, solution).is_some_and(|mapped| {
+                crate::minweight::is_undetected_logical_error(&new_graph, &mapped)
+            });
+        if still_logical {
+            return Err(Rejection::StillLogical);
+        }
+        Ok(VerifiedChange {
+            change: candidate.clone(),
+            schedule,
+            depth,
+        })
+    }
+
+    /// Maps each solution mechanism of `original` to the mechanism of `updated` whose
+    /// sources contain the same fault: same op, same Pauli error, same round, the last
+    /// matching mechanism winning. Returns the sorted, deduplicated new indices, or
+    /// `None` when a solution mechanism has no source.
+    fn map_solution_faults(
+        original: &DecodingGraph,
+        updated: &DecodingGraph,
+        solution: &MinWeightSolution,
+    ) -> Option<Vec<usize>> {
+        let mut keys = Vec::with_capacity(solution.errors.len());
+        for &e in &solution.errors {
+            let src = original.dem().error(e).sources.first()?;
+            let round = original.experiment().round_of_moment(src.moment);
+            keys.push((src, round));
+        }
+        let mut found: Vec<Option<usize>> = vec![None; keys.len()];
+        for (i, err) in updated.dem().errors().iter().enumerate() {
+            for src in &err.sources {
+                for (slot, &(key, round)) in found.iter_mut().zip(&keys) {
+                    if src.op == key.op
+                        && src.error == key.error
+                        && updated.experiment().round_of_moment(src.moment) == round
+                    {
+                        *slot = Some(i);
+                    }
+                }
+            }
+        }
+        let mut mapped: Vec<usize> = found.into_iter().flatten().collect();
+        mapped.sort_unstable();
+        mapped.dedup();
+        Some(mapped)
+    }
+
+    /// Runs `check_candidate` and the rebuild oracle on every enumerated candidate of
+    /// sampled subgraphs of `schedule`, in both bases under uniform, SI1000 and
+    /// uniform-plus-idle noise (whose idle faults make solution keys repeat), until
+    /// `per_model` candidates per model are compared, and asserts equal outcomes.
+    /// Returns how many candidates were accepted, invalid, still ambiguous and still
+    /// logical.
+    ///
+    /// With `drop_syndromes`, each subgraph is checked with an empty detector set,
+    /// which nothing can make ambiguous: every valid candidate then reaches the
+    /// still-logical check, which real subgraphs seldom do (a change that removes the
+    /// ambiguity rarely leaves the solution's faults a logical error).
+    fn assert_parity_with_rebuild(
+        code: &CssCode,
+        schedule: &ScheduleSpec,
+        rounds: usize,
+        per_model: usize,
+        drop_syndromes: bool,
+    ) -> [usize; 4] {
+        let eval = ScheduleEval::new(schedule.clone()).unwrap();
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut outcomes = [0usize; 4];
+        for noise in [
+            NoiseModel::uniform_depolarizing(1e-3),
+            NoiseModel::si1000(2e-3),
+            NoiseModel::uniform_depolarizing(1e-3).with_idle(1e-3),
+        ] {
+            for basis in [MemoryBasis::Z, MemoryBasis::X] {
+                let graph =
+                    DecodingGraph::build_with_noise(code, schedule, rounds, basis, &noise).unwrap();
+                let mut compared = 0;
+                for _ in 0..200 {
+                    if compared >= per_model {
+                        break;
+                    }
+                    let Some(mut sub) = find_ambiguous_subgraph(&graph, &mut rng, 60) else {
+                        continue;
+                    };
+                    let Some(sol) = min_weight_logical_error(&sub, Duration::from_secs(10)) else {
+                        continue;
+                    };
+                    if drop_syndromes {
+                        sub.detectors.clear();
+                    }
+                    for candidate in enumerate_candidates(&graph, code, schedule, &sol, &mut rng) {
+                        let got = check_candidate(
+                            code, &eval, &candidate, &sub, &sol, &graph, rounds, basis, &noise,
+                        )
+                        .map(|v| (v.schedule, v.depth));
+                        let want = check_by_rebuild(
+                            code, &eval, &candidate, &sub, &sol, &graph, rounds, basis, &noise,
+                        )
+                        .map(|v| (v.schedule, v.depth));
+                        assert_eq!(got, want, "{noise:?} {basis:?} {candidate:?}");
+                        outcomes[match got {
+                            Ok(_) => 0,
+                            Err(Rejection::Invalid) => 1,
+                            Err(Rejection::StillAmbiguous) => 2,
+                            Err(Rejection::StillLogical) => 3,
+                        }] += 1;
+                        compared += 1;
+                    }
+                }
+                assert!(
+                    compared >= per_model,
+                    "{noise:?} {basis:?}: {compared} candidates"
+                );
+            }
+        }
+        outcomes
+    }
+
+    // The three parity tests compare 2355 candidates, at least 6 × (250 + 50 + 50 + 35).
+
+    #[test]
+    fn signature_verification_matches_the_rebuild_oracle_on_surface_d3_poor() {
+        let (code, schedule, _) = poor_d3();
+        let [accepted, invalid, ambiguous, _] =
+            assert_parity_with_rebuild(&code, &schedule, 3, 250, false);
+        assert!(accepted > 0 && invalid > 0 && ambiguous > 0);
+        let [accepted, _, ambiguous, logical] =
+            assert_parity_with_rebuild(&code, &schedule, 3, 50, true);
+        assert!(accepted > 0 && logical > 0 && ambiguous == 0);
+    }
+
+    #[test]
+    fn signature_verification_matches_the_rebuild_oracle_on_surface_d5_coloration() {
+        let (code, _) = rotated_surface_code_with_layout(5);
+        let schedule = ScheduleSpec::coloration(&code);
+        let [accepted, _, ambiguous, _] =
+            assert_parity_with_rebuild(&code, &schedule, 5, 50, false);
+        assert!(accepted > 0 && ambiguous > 0);
+    }
+
+    #[test]
+    fn signature_verification_matches_the_rebuild_oracle_on_gb_36_2_coloration() {
+        let code = prophunt_qec::product::generalized_bicycle(18, &[0, 1], &[0, 5], "gb_36_2");
+        let schedule = ScheduleSpec::coloration(&code);
+        let [accepted, _, ambiguous, _] =
+            assert_parity_with_rebuild(&code, &schedule, 3, 35, false);
+        assert!(accepted > 0 && ambiguous > 0);
+    }
+
     fn poor_d3() -> (CssCode, ScheduleSpec, DecodingGraph) {
         let (code, layout) = rotated_surface_code_with_layout(3);
         let schedule = ScheduleSpec::surface_poor(&code, &layout);
@@ -364,14 +650,14 @@ mod tests {
         for (i, err) in updated.dem().errors().iter().enumerate() {
             for src in &err.sources {
                 let round = updated.experiment().round_of_moment(src.moment);
-                index.insert((src.op, src.error.clone(), round), i);
+                index.insert((src.op, src.error, round), i);
             }
         }
         let mut mapped = Vec::new();
         for &e in &solution.errors {
             let src = original.dem().error(e).sources.first()?;
             let round = original.experiment().round_of_moment(src.moment);
-            if let Some(&new_idx) = index.get(&(src.op, src.error.clone(), round)) {
+            if let Some(&new_idx) = index.get(&(src.op, src.error, round)) {
                 mapped.push(new_idx);
             }
         }
@@ -385,7 +671,9 @@ mod tests {
         // Idle faults of one qubit in one round share a key, so with idle noise on
         // a key can match several mechanisms and the last one must win. Under
         // SI1000 idle faults mostly merge into earlier gate-fault mechanisms; the
-        // idle-only model makes them first sources, so solution keys repeat.
+        // idle-only model makes them first sources, so solution keys repeat. The
+        // rebuild oracle's scan and `check_candidate`'s signature mapping must both
+        // agree with the old source index.
         let (code, layout) = rotated_surface_code_with_layout(3);
         let poor = ScheduleSpec::surface_poor(&code, &layout);
         let hand = ScheduleSpec::surface_hand_designed(&code, &layout);
@@ -427,11 +715,29 @@ mod tests {
                 });
             }
             assert!(!solutions.is_empty(), "{noise:?}: no min-weight solution");
-            for sol in &solutions {
-                for to in [&updated, &original] {
+            for to in [&updated, &original] {
+                let faults = noise.enumerate_faults(&to.experiment().circuit);
+                let signatures = FaultSignatures::new(to.experiment(), &faults);
+                // Mechanism `i` of `to` is named by its first fault, `firsts[i]`.
+                let mut seen = std::collections::HashSet::new();
+                let firsts: Vec<usize> = (0..faults.len())
+                    .filter(|&f| {
+                        let signature = signatures.get(f);
+                        signature.iter().any(|&w| w != 0) && seen.insert(signature)
+                    })
+                    .collect();
+                for sol in &solutions {
                     let want = map_by_index(&original, to, sol);
                     assert!(want.as_ref().is_some_and(|m| !m.is_empty()));
                     assert_eq!(map_solution_faults(&original, to, sol), want);
+                    let named =
+                        solution_mechanisms(&original, to.experiment(), &faults, &signatures, sol);
+                    let got = named.map(|ms| {
+                        ms.iter()
+                            .map(|f| firsts.binary_search(f).expect("a first fault"))
+                            .collect()
+                    });
+                    assert_eq!(got, want);
                 }
             }
         }

@@ -45,6 +45,6 @@ pub mod minweight;
 pub mod optimizer;
 
 pub use ambiguity::{find_ambiguous_subgraph, AmbiguousSubgraph, DecodingGraph};
-pub use changes::{CandidateChange, RescheduleSwap};
+pub use changes::{CandidateChange, Rejection, RescheduleSwap};
 pub use minweight::{MinWeightSolution, ModelKind};
 pub use optimizer::{IterationRecord, OptimizationResult, PropHunt, PropHuntConfig};

@@ -461,6 +461,10 @@ impl PropHunt {
     /// stage and shared by every verification task, which clones it and
     /// applies its candidate's primitive operations in O(pairs touched +
     /// cone) instead of re-validating the mutated schedule from scratch.
+    /// Each task then signs the changed circuit's faults with one backward
+    /// sweep and reads the few `H`/`L` columns it needs from the signatures;
+    /// no detector error model is built per candidate (see
+    /// [`verify_candidate`]).
     fn verify_stage(
         &self,
         graph: &DecodingGraph,
