@@ -181,20 +181,6 @@ impl ScheduleSpec {
             .map(|(&(q, a, b), &first)| (q, a, b, first))
     }
 
-    /// Returns every `(qubit, other_stabilizer)` pair for which `other_stabilizer` shares
-    /// `qubit` with `s`.
-    pub fn neighbors_of(&self, s: StabilizerId) -> Vec<(usize, StabilizerId)> {
-        let mut out = Vec::new();
-        for (&(q, a, b), _) in self.relative.iter() {
-            if a == s {
-                out.push((q, b));
-            } else if b == s {
-                out.push((q, a));
-            }
-        }
-        out
-    }
-
     // ------------------------------------------------------------------
     // Constructors
     // ------------------------------------------------------------------
@@ -684,13 +670,15 @@ impl ScheduleSpec {
         Ok(layer.iter().copied().max().map_or(0, |m| m + 1))
     }
 
-    /// Runs the validity check of the optimizer's inner loop: commutation must be
-    /// preserved and the schedule must be layout-able.
+    /// Checks that commutation is preserved and the schedule is layout-able — the
+    /// from-scratch check every [`crate::MemoryExperiment::build`] runs.
     ///
-    /// Tanner-graph coverage is *not* re-checked here — trusted constructors enforce
-    /// it and schedule mutations preserve it, and this method runs once per candidate
-    /// change. Schedules arriving from outside the process (a parsed schedule file)
-    /// should go through [`ScheduleSpec::validate_for_code`] instead.
+    /// Tanner-graph coverage is *not* re-checked here: trusted constructors enforce
+    /// it and schedule mutations preserve it. The optimizer's candidate changes are
+    /// judged valid or not incrementally by [`crate::ScheduleEval`]; only candidates
+    /// that pass it reach a circuit build. Schedules arriving from outside the
+    /// process (a parsed schedule file) should go through
+    /// [`ScheduleSpec::validate_for_code`] instead.
     ///
     /// # Errors
     ///

@@ -400,11 +400,6 @@ impl ScheduleEval {
         self.spec.fingerprint()
     }
 
-    /// Number of cross-kind stabilizer pairs tracked by the parity counters.
-    pub fn num_cross_pairs(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// Resolves a typed [`Move`] into primitive operations against the
     /// *current* schedule state (promotion inspects which pairs the stabilizer
     /// already leads). Resolution is deterministic and read-only.

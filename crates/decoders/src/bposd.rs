@@ -10,6 +10,12 @@ use prophunt_gf2::BitVec;
 /// block's messages stay cache-resident on the large LDPC models.
 const BP_BLOCK_LANES: usize = 32;
 
+/// Min-sum iterations before a syndrome falls back to OSD-0.
+const MAX_ITERATIONS: usize = 30;
+
+/// Normalization factor of every check-to-variable min-sum message.
+const SCALING: f64 = 0.8;
+
 /// Min-sum belief propagation over a detector error model's Tanner graph, followed by
 /// ordered-statistics decoding (OSD-0) when BP alone does not reproduce the syndrome.
 ///
@@ -28,19 +34,12 @@ pub struct BpOsdDecoder {
     signature_lookup: std::collections::HashMap<Vec<usize>, usize>,
     num_detectors: usize,
     num_observables: usize,
-    max_iterations: usize,
-    scaling: f64,
 }
 
 impl BpOsdDecoder {
-    /// Builds a decoder for the given detector error model with default parameters
-    /// (30 min-sum iterations, normalization factor 0.8).
+    /// Builds a decoder for the given detector error model (30 min-sum iterations,
+    /// normalization factor 0.8).
     pub fn new(dem: &DetectorErrorModel) -> Self {
-        Self::with_parameters(dem, 30, 0.8)
-    }
-
-    /// Builds a decoder with explicit iteration count and min-sum normalization factor.
-    pub fn with_parameters(dem: &DetectorErrorModel, max_iterations: usize, scaling: f64) -> Self {
         let error_detectors: Vec<Vec<usize>> =
             dem.errors().iter().map(|e| e.detectors.clone()).collect();
         let error_observables: Vec<Vec<usize>> =
@@ -71,8 +70,6 @@ impl BpOsdDecoder {
             signature_lookup,
             num_detectors: dem.num_detectors(),
             num_observables: dem.num_observables(),
-            max_iterations,
-            scaling,
         }
     }
 
@@ -101,7 +98,7 @@ impl BpOsdDecoder {
 
         let mut llr = vec![0.0f64; num_errors];
         let mut decision = BitVec::zeros(num_errors);
-        for _ in 0..self.max_iterations {
+        for _ in 0..MAX_ITERATIONS {
             // Check update (min-sum with normalization).
             for (d, adj) in check_adj.iter().enumerate() {
                 let target = if syndrome.get(d) { -1.0 } else { 1.0 };
@@ -129,7 +126,7 @@ impl BpOsdDecoder {
                     let sign = sign_product * if m < 0.0 { -1.0 } else { 1.0 };
                     let mag = if k == min_idx { min2 } else { min1 };
                     let mag = if mag.is_finite() { mag } else { 0.0 };
-                    check_to_var[e][slot] = self.scaling * sign * mag;
+                    check_to_var[e][slot] = SCALING * sign * mag;
                 }
             }
             // Variable update and hard decision.
@@ -309,7 +306,7 @@ impl BpOsdDecoder {
     /// syndromes at once.
     ///
     /// The core is *message-free*: neither direction's messages are stored as
-    /// f64 arrays. A check→variable message is always `scaling * sign * mag`
+    /// f64 arrays. A check→variable message is always `SCALING * sign * mag`
     /// with `sign`/`mag` drawn from its detector's per-iteration statistics
     /// (sign product, two smallest magnitudes, slot of the first minimum),
     /// and a variable→check message is always `posterior - that message`, so
@@ -338,7 +335,7 @@ impl BpOsdDecoder {
     /// syndrome are retired — their outcome snapshotted at the convergence
     /// iteration (matching the scalar early return) and the surviving lanes
     /// compacted so retired lanes cost nothing. Lanes still active after
-    /// `max_iterations` come back as [`LaneBp::Stuck`] with their final LLRs
+    /// `MAX_ITERATIONS` come back as [`LaneBp::Stuck`] with their final LLRs
     /// for the OSD fallback.
     fn belief_propagation_block(
         &self,
@@ -362,7 +359,7 @@ impl BpOsdDecoder {
         // Initial state encodes "previous message = prior": the posterior
         // starts at the prior, and the statistics reconstruct a zero
         // check→variable message (positive sign, zero minima), so the first
-        // check pass reads `prior - scaling * 1.0 * 0.0 = prior` — exactly
+        // check pass reads `prior - SCALING * 1.0 * 0.0 = prior` — exactly
         // the scalar initialisation.
         s.msg_sign.clear();
         s.msg_sign.resize(num_slots, 0);
@@ -391,7 +388,7 @@ impl BpOsdDecoder {
         s.min_flat.clear();
         s.min_flat.resize(self.num_detectors * l, usize::MAX);
         s.tot.resize(l, 0.0);
-        for _ in 0..self.max_iterations {
+        for _ in 0..MAX_ITERATIONS {
             // Check pass: reconstruct each incoming variable→check message as
             // `posterior - previous check→variable message` (the previous
             // message rebuilt from last iteration's statistics for this
@@ -444,7 +441,7 @@ impl BpOsdDecoder {
                             pmin1[lane]
                         };
                         let pmag = if pmag < f64::INFINITY { pmag } else { 0.0 };
-                        let m = llr[lane] - self.scaling * psg * pmag;
+                        let m = llr[lane] - SCALING * psg * pmag;
                         let is_neg = m < 0.0;
                         neg |= u64::from(is_neg) << lane;
                         sign[lane] = if is_neg { -sign[lane] } else { sign[lane] };
@@ -493,7 +490,7 @@ impl BpOsdDecoder {
                             min1[lane]
                         };
                         let mag = if mag < f64::INFINITY { mag } else { 0.0 };
-                        tot[lane] += self.scaling * sg * mag;
+                        tot[lane] += SCALING * sg * mag;
                     }
                 }
                 let prior = self.priors[e];
@@ -583,7 +580,7 @@ impl BpOsdDecoder {
             s.lane_shot.truncate(nl);
             l = nl;
         }
-        // Whatever is still active after max_iterations is stuck: hand the
+        // Whatever is still active after MAX_ITERATIONS is stuck: hand the
         // final LLRs to the OSD fallback.
         for lane in 0..l {
             let llr: Vec<f64> = (0..num_errors).map(|e| s.llr[e * l + lane]).collect();

@@ -77,15 +77,6 @@ impl BitMatrix {
         BitMatrix { rows, cols }
     }
 
-    /// Builds a matrix of the given shape with ones at the listed `(row, col)` positions.
-    pub fn from_entries(rows: usize, cols: usize, entries: &[(usize, usize)]) -> Self {
-        let mut m = BitMatrix::zeros(rows, cols);
-        for &(r, c) in entries {
-            m.set(r, c, true);
-        }
-        m
-    }
-
     /// Returns the number of rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()
@@ -454,11 +445,6 @@ impl RowEchelon {
     /// Returns the rank (number of pivots).
     pub fn rank(&self) -> usize {
         self.pivot_cols.len()
-    }
-
-    /// Returns the pivot columns in increasing order.
-    pub fn pivot_columns(&self) -> &[usize] {
-        &self.pivot_cols
     }
 
     /// Returns the number of columns of the original matrix.

@@ -145,11 +145,6 @@ impl MaxSatSolver {
         self.soft.push(var.negative());
     }
 
-    /// Returns the number of soft clauses.
-    pub fn num_soft(&self) -> usize {
-        self.soft.len()
-    }
-
     /// Returns the statistics of the most recent [`MaxSatSolver::solve`] call.
     pub fn last_stats(&self) -> Option<MaxSatStats> {
         self.last_stats

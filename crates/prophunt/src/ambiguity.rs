@@ -92,51 +92,73 @@ impl DecodingGraph {
         self.dem.num_detectors()
     }
 
-    /// Returns the error mechanisms flipping detector `d`.
-    pub fn errors_of_detector(&self, d: usize) -> &[usize] {
-        &self.detector_errors[d]
-    }
-
     /// Returns the submatrices `(H', L')` restricted to the given detector set and the
     /// error mechanisms connected *only* to those detectors.
     ///
-    /// The returned error list gives the global mechanism index of each column.
+    /// `detectors` must be sorted and duplicate-free (as
+    /// [`AmbiguousSubgraph::detectors`] is); rows of `H'` follow its order. The
+    /// returned error list gives the global mechanism index of each column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `detectors` is not strictly increasing.
     pub fn restricted_matrices(&self, detectors: &[usize]) -> (BitMatrix, BitMatrix, Vec<usize>) {
-        let detector_set: std::collections::HashSet<usize> = detectors.iter().copied().collect();
-        // Errors fully contained in the detector set.
-        let mut contained: Vec<usize> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        assert!(
+            detectors.windows(2).all(|w| w[0] < w[1]),
+            "detectors must be sorted and duplicate-free"
+        );
+        let (contained, _frontier) = self.adjacent_errors(detectors);
+        let (h, l) = self.contained_matrices(detectors, &contained);
+        (h, l, contained)
+    }
+
+    /// Walks the error mechanisms adjacent to the sorted detector set once and splits
+    /// them into those connected only to `detectors` (returned sorted: the columns of
+    /// `H'`/`L'`) and the rest (the expansion frontier, in first-seen order).
+    ///
+    /// A mechanism is seen first at its smallest detector inside the set, so no
+    /// seen-set is needed: a visit is skipped as soon as an earlier detector of the
+    /// mechanism turns out to be in the set.
+    fn adjacent_errors(&self, detectors: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        let mut contained = Vec::new();
+        let mut frontier = Vec::new();
         for &d in detectors {
-            for &e in &self.detector_errors[d] {
-                if seen.insert(e)
-                    && self
-                        .dem
-                        .error(e)
-                        .detectors
-                        .iter()
-                        .all(|x| detector_set.contains(x))
-                {
+            'errors: for &e in &self.detector_errors[d] {
+                let mut inside = true;
+                for &x in &self.dem.error(e).detectors {
+                    if detectors.binary_search(&x).is_ok() {
+                        if x < d {
+                            continue 'errors;
+                        }
+                    } else {
+                        inside = false;
+                        if x > d {
+                            break;
+                        }
+                    }
+                }
+                if inside {
                     contained.push(e);
+                } else {
+                    frontier.push(e);
                 }
             }
         }
         contained.sort_unstable();
-        let (h, l) = self.matrices_for(detectors, &contained);
-        (h, l, contained)
+        (contained, frontier)
     }
 
-    /// Returns `(H', L')` for an explicit detector set and error set.
-    pub fn matrices_for(&self, detectors: &[usize], errors: &[usize]) -> (BitMatrix, BitMatrix) {
+    /// Returns `(H', L')` over the sorted detector set for mechanisms it contains.
+    fn contained_matrices(&self, detectors: &[usize], errors: &[usize]) -> (BitMatrix, BitMatrix) {
         let mut h = BitMatrix::zeros(detectors.len(), errors.len());
         let mut l = BitMatrix::zeros(self.dem.num_observables(), errors.len());
-        let det_pos: std::collections::HashMap<usize, usize> =
-            detectors.iter().enumerate().map(|(i, &d)| (d, i)).collect();
         for (col, &e) in errors.iter().enumerate() {
             let err = self.dem.error(e);
             for &d in &err.detectors {
-                if let Some(&row) = det_pos.get(&d) {
-                    h.set(row, col, true);
-                }
+                let row = detectors
+                    .binary_search(&d)
+                    .expect("a contained mechanism's detectors lie in the set");
+                h.set(row, col, true);
             }
             for &o in &err.observables {
                 l.set(o, col, true);
@@ -176,8 +198,10 @@ pub struct AmbiguousSubgraph {
 /// Starting from a random error node, the subgraph repeatedly adds an error node adjacent
 /// to an already-included syndrome node together with that error's syndrome nodes; error
 /// nodes connected only to included syndromes join automatically (they are what
-/// [`DecodingGraph::restricted_matrices`] collects). Expansion stops as soon as the
-/// restricted `(H', L')` pair is ambiguous, or gives up after `max_steps` expansions.
+/// [`DecodingGraph::restricted_matrices`] collects). Each step walks the adjacent
+/// error nodes once, splitting them into those contained columns and the frontier the
+/// next error node is drawn from. Expansion stops as soon as the restricted
+/// `(H', L')` pair is ambiguous, or gives up after `max_steps` expansions.
 pub fn find_ambiguous_subgraph<R: Rng>(
     graph: &DecodingGraph,
     rng: &mut R,
@@ -187,17 +211,14 @@ pub fn find_ambiguous_subgraph<R: Rng>(
         return None;
     }
     let start = rng.gen_range(0..graph.num_errors());
-    let mut detector_set: std::collections::BTreeSet<usize> =
-        graph.dem().error(start).detectors.iter().copied().collect();
-    if detector_set.is_empty() {
+    // Mechanism detector lists are sorted and duplicate-free.
+    let mut detectors = graph.dem().error(start).detectors.clone();
+    if detectors.is_empty() {
         return None;
     }
     for _ in 0..max_steps {
-        // lint: allow(no-hash-iter) — false positive: this detector_set is the
-        // BTreeSet above (sorted iteration); the rule's file-scope name heuristic
-        // matches the unrelated HashSet of the same name in restricted_matrices.
-        let detectors: Vec<usize> = detector_set.iter().copied().collect();
-        let (h_sub, l_sub, errors) = graph.restricted_matrices(&detectors);
+        let (errors, frontier) = graph.adjacent_errors(&detectors);
+        let (h_sub, l_sub) = graph.contained_matrices(&detectors, &errors);
         if is_ambiguous(&h_sub, &l_sub) {
             return Some(AmbiguousSubgraph {
                 detectors,
@@ -206,28 +227,15 @@ pub fn find_ambiguous_subgraph<R: Rng>(
                 l_sub,
             });
         }
-        // Candidate expansions: error nodes adjacent to the subgraph but not contained.
-        let mut frontier: Vec<usize> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for &d in &detectors {
-            for &e in graph.errors_of_detector(d) {
-                if seen.insert(e)
-                    && !graph
-                        .dem()
-                        .error(e)
-                        .detectors
-                        .iter()
-                        .all(|x| detector_set.contains(x))
-                {
-                    frontier.push(e);
-                }
-            }
-        }
         if frontier.is_empty() {
             return None;
         }
         let chosen = frontier[rng.gen_range(0..frontier.len())];
-        detector_set.extend(graph.dem().error(chosen).detectors.iter().copied());
+        for &x in &graph.dem().error(chosen).detectors {
+            if let Err(at) = detectors.binary_search(&x) {
+                detectors.insert(at, x);
+            }
+        }
     }
     None
 }

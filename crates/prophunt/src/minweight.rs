@@ -131,13 +131,6 @@ fn build_model(h: &BitMatrix, l: &BitMatrix) -> (MaxSatSolver, Vec<Var>) {
     (solver, error_vars)
 }
 
-/// The whole-graph `(H, L)` of the global formulation: every detector, every error.
-fn global_matrices(graph: &DecodingGraph) -> (BitMatrix, BitMatrix) {
-    let all_detectors: Vec<usize> = (0..graph.num_detectors()).collect();
-    let all_errors: Vec<usize> = (0..graph.num_errors()).collect();
-    graph.matrices_for(&all_detectors, &all_errors)
-}
-
 fn extract_solution(
     outcome: &MaxSatOutcome,
     error_vars: &[Var],
@@ -475,8 +468,7 @@ pub fn global_min_weight_logical_error(
     graph: &DecodingGraph,
     budget: Duration,
 ) -> (Option<MinWeightSolution>, MaxSatStats) {
-    let (h, l) = global_matrices(graph);
-    let (mut solver, vars) = build_model(&h, &l);
+    let (mut solver, vars) = build_model(&graph.dem().h_matrix(), &graph.dem().l_matrix());
     let outcome = solver.solve(budget);
     let stats = solver.last_stats().expect("solve records stats");
     let all_errors: Vec<usize> = (0..graph.num_errors()).collect();
@@ -492,8 +484,7 @@ pub fn subgraph_model_size(subgraph: &AmbiguousSubgraph) -> (usize, usize, usize
 
 /// Returns the model-size statistics of the global formulation without solving it.
 pub fn global_model_size(graph: &DecodingGraph) -> (usize, usize, usize) {
-    let (h, l) = global_matrices(graph);
-    model_size_of(&h, &l)
+    model_size_of(&graph.dem().h_matrix(), &graph.dem().l_matrix())
 }
 
 fn model_size_of(h: &BitMatrix, l: &BitMatrix) -> (usize, usize, usize) {

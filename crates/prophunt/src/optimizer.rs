@@ -20,7 +20,6 @@ use prophunt_qec::CssCode;
 use prophunt_runtime::{Runtime, RuntimeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Configuration of a PropHunt optimization run.
@@ -149,20 +148,6 @@ impl OptimizationResult {
     pub fn total_changes_applied(&self) -> usize {
         self.records.iter().map(|r| r.changes_applied).sum()
     }
-
-    /// Returns the smallest logical-error weight observed during optimization (an upper
-    /// bound estimate of the *initial* effective distance).
-    pub fn min_weight_seen(&self) -> Option<usize> {
-        self.records
-            .iter()
-            .flat_map(|r| r.solution_weights.iter().copied())
-            .min()
-    }
-
-    /// Returns every intermediate schedule in order (including the final one).
-    pub fn intermediate_schedules(&self) -> Vec<&ScheduleSpec> {
-        self.records.iter().map(|r| &r.schedule).collect()
-    }
 }
 
 /// Pipeline-stage labels for [`SeedStream::substream`]: every parallel stage
@@ -174,40 +159,12 @@ mod stage {
     pub const DISTANCE: u64 = 3;
 }
 
-/// A decoding graph cached per memory basis, keyed by the exact schedule it
-/// was built from.
-#[derive(Debug)]
-struct CachedGraph {
-    schedule: ScheduleSpec,
-    graph: Arc<DecodingGraph>,
-}
-
-fn basis_slot(basis: MemoryBasis) -> usize {
-    match basis {
-        MemoryBasis::Z => 0,
-        MemoryBasis::X => 1,
-    }
-}
-
 /// The PropHunt optimizer for a fixed CSS code.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PropHunt {
     code: CssCode,
     config: PropHuntConfig,
     runtime: Runtime,
-    /// Per-basis cache of the most recent decoding graph, shared between
-    /// [`PropHunt::try_optimize`]'s iterations and
-    /// [`PropHunt::estimate_effective_distance`] so the (expensive) detector
-    /// error model of an unchanged schedule is built once per basis, not once
-    /// per caller.
-    graph_cache: Mutex<[Option<CachedGraph>; 2]>,
-}
-
-impl Clone for PropHunt {
-    fn clone(&self) -> Self {
-        // The cache is a memo, not state: a clone starts cold.
-        PropHunt::new(self.code.clone(), self.config.clone())
-    }
 }
 
 impl PropHunt {
@@ -218,7 +175,6 @@ impl PropHunt {
             code,
             config,
             runtime,
-            graph_cache: Mutex::new([None, None]),
         }
     }
 
@@ -311,7 +267,7 @@ impl PropHunt {
         basis: MemoryBasis,
         schedule: &mut ScheduleSpec,
     ) -> IterationRecord {
-        // Stage 1: build (or reuse) the decoding graph of the current schedule.
+        // Stage 1: build the decoding graph of the current schedule.
         let graph = self
             .build_graph(schedule, basis)
             .expect("schedule stays valid across iterations");
@@ -349,36 +305,19 @@ impl PropHunt {
         }
     }
 
-    /// Builds the decoding graph for `(schedule, basis)`, reusing the cached
-    /// graph when the schedule is unchanged since the last build for that
-    /// basis.
+    /// Builds the decoding graph of `(schedule, basis)` under the configured noise.
     fn build_graph(
         &self,
         schedule: &ScheduleSpec,
         basis: MemoryBasis,
-    ) -> Result<Arc<DecodingGraph>, CircuitError> {
-        let slot = basis_slot(basis);
-        {
-            let cache = self.graph_cache.lock().expect("graph cache poisoned");
-            if let Some(entry) = &cache[slot] {
-                if entry.schedule == *schedule {
-                    return Ok(Arc::clone(&entry.graph));
-                }
-            }
-        }
-        let graph = Arc::new(DecodingGraph::build_with_noise(
+    ) -> Result<DecodingGraph, CircuitError> {
+        DecodingGraph::build_with_noise(
             &self.code,
             schedule,
             self.config.rounds,
             basis,
             &self.config.noise,
-        )?);
-        let mut cache = self.graph_cache.lock().expect("graph cache poisoned");
-        cache[slot] = Some(CachedGraph {
-            schedule: schedule.clone(),
-            graph: Arc::clone(&graph),
-        });
-        Ok(graph)
+        )
     }
 
     /// Samples ambiguous subgraphs in parallel (one seeded task per sample) and
@@ -515,10 +454,6 @@ impl PropHunt {
     /// Estimates the effective code distance of `schedule` by sampling ambiguous
     /// subgraphs in both memory bases and taking the minimum logical-error weight found.
     ///
-    /// Shares the per-basis decoding-graph cache with [`PropHunt::try_optimize`], so
-    /// estimating the distance of a schedule the optimizer just analysed does not
-    /// rebuild its detector error model.
-    ///
     /// Returns `Ok(None)` if no ambiguous subgraph was found and solved (which,
     /// for a complete decoding graph, only happens when the sampling budget is
     /// too small).
@@ -645,24 +580,6 @@ mod tests {
             d_eff >= 3,
             "optimization must not reduce d_eff below 3, got {d_eff}"
         );
-    }
-
-    #[test]
-    fn graph_cache_is_shared_between_optimize_and_distance_estimation() {
-        let (code, layout) = rotated_surface_code_with_layout(3);
-        let poor = ScheduleSpec::surface_poor(&code, &layout);
-        let prophunt = PropHunt::new(code, PropHuntConfig::quick(3).with_seed(11));
-        let first = prophunt.build_graph(&poor, MemoryBasis::Z).unwrap();
-        let second = prophunt.build_graph(&poor, MemoryBasis::Z).unwrap();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "unchanged schedule must hit the cache"
-        );
-        // A different schedule for the same basis evicts the entry.
-        let (code2, layout2) = rotated_surface_code_with_layout(3);
-        let hand = ScheduleSpec::surface_hand_designed(&code2, &layout2);
-        let third = prophunt.build_graph(&hand, MemoryBasis::Z).unwrap();
-        assert!(!Arc::ptr_eq(&first, &third));
     }
 
     #[test]

@@ -278,23 +278,9 @@ impl CssCode {
         self.hz.mul_vec(e_x)
     }
 
-    /// Computes the syndrome of a Z-error pattern (`s_X = H_X · e_Z`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e_z.len() != self.n()`.
-    pub fn syndrome_of_z_errors(&self, e_z: &BitVec) -> BitVec {
-        self.hx.mul_vec(e_z)
-    }
-
     /// Returns `true` if the X-error pattern `e_x` flips any Z-type logical observable.
     pub fn x_errors_flip_logical(&self, e_x: &BitVec) -> bool {
         !self.lz.mul_vec(e_x).is_zero()
-    }
-
-    /// Returns `true` if the Z-error pattern `e_z` flips any X-type logical observable.
-    pub fn z_errors_flip_logical(&self, e_z: &BitVec) -> bool {
-        !self.lx.mul_vec(e_z).is_zero()
     }
 
     /// Replaces the logical-operator matrices with caller-provided ones.

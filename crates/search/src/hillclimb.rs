@@ -10,12 +10,15 @@ use prophunt_qec::CssCode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Rounds without strict improvement before the climber restarts.
+const RESTART_STALL: usize = 2;
+
 /// Hill climbing with deterministic restarts over permuted orderings.
 ///
 /// Each round greedily takes every seeded random move that does not increase
 /// depth (equal-depth moves walk plateaus), mutating one [`ScheduleEval`] in
 /// place and reverting worsening moves instead of cloning a schedule per
-/// proposal. After `restart_stall` rounds without strict improvement the
+/// proposal. After `RESTART_STALL` rounds without strict improvement the
 /// climber restarts from a fresh basin — the portfolio's diversity arm,
 /// sampling far-apart starting points instead of refining one (Sato &
 /// Suzuki's permuted-ordering restarts):
@@ -43,7 +46,6 @@ pub struct HillClimb {
     eval: ScheduleEval,
     best: Proposal,
     stalled_rounds: usize,
-    restart_stall: usize,
     proposals_per_round: usize,
     /// Hoisted `search.hillclimb.*` counter handles (None when the context's
     /// observability is disabled).
@@ -150,7 +152,6 @@ impl HillClimb {
                 depth,
             },
             stalled_rounds: 0,
-            restart_stall: ctx.params.restart_stall.max(1),
             proposals_per_round: ctx.params.proposals_per_round,
             accepts: ctx.obs.counter("search.hillclimb.accepts"),
             reverts: ctx.obs.counter("search.hillclimb.reverts"),
@@ -176,7 +177,7 @@ impl Strategy for HillClimb {
 
     fn propose(&mut self, _round: usize, seed: u64) -> Proposal {
         let mut rng = StdRng::seed_from_u64(seed);
-        if self.stalled_rounds >= self.restart_stall {
+        if self.stalled_rounds >= RESTART_STALL {
             self.eval = ScheduleEval::new(self.restart_schedule(&mut rng))
                 .expect("restart schedules are validated or valid by construction");
             if let Some(c) = &self.restarts {

@@ -19,8 +19,7 @@ use prophunt_runtime::RuntimeConfig;
 ///
 /// Incumbent policy: adopts the portfolio incumbent as its working schedule
 /// whenever the incumbent is strictly shallower — descent then continues from
-/// the portfolio's best known point (with the decoding-graph cache rebuilt for
-/// the adopted schedule on the next step).
+/// the portfolio's best known point.
 #[derive(Debug)]
 pub struct MaxSatDescent {
     prophunt: PropHunt,

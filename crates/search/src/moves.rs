@@ -95,11 +95,6 @@ impl MoveSet {
         }
     }
 
-    /// Number of promotable stabilizers (those with at least one cross pair).
-    pub fn num_promotable(&self) -> usize {
-        self.promotable.len()
-    }
-
     /// Draws one random typed move against the current `schedule` state, or
     /// `None` when the universe is empty. The draw only selects; evaluation
     /// (and validity checking) happens in `ScheduleEval::try_apply`.

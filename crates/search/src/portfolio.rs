@@ -100,13 +100,6 @@ pub struct SearchResult {
     pub rounds: Vec<RoundRecord>,
 }
 
-impl SearchResult {
-    /// Depth improvement over the starting schedule (0 when none was found).
-    pub fn depth_saved(&self) -> usize {
-        self.initial_depth.saturating_sub(self.best.depth)
-    }
-}
-
 /// Runs N seeded strategy instances in synchronized rounds with deterministic
 /// incumbent sharing. See the [crate docs](crate) for the protocol and the
 /// determinism contract.

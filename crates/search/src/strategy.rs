@@ -75,8 +75,6 @@ pub struct SearchParams {
     /// Mutation proposals evaluated per instance per round (annealing / hill
     /// climbing; the beam strategy divides this budget across its beam slots).
     pub proposals_per_round: usize,
-    /// Beam width of the [`Beam`] strategy.
-    pub beam_width: usize,
     /// Syndrome-measurement rounds analysed by the MaxSAT-descent arm.
     pub memory_rounds: usize,
     /// Noise model the MaxSAT-descent arm builds its decoding graphs with.
@@ -88,27 +86,16 @@ pub struct SearchParams {
     /// [`prophunt::PropHuntConfig`]), so exhausting it cannot introduce
     /// machine-dependent results.
     pub maxsat_budget: Duration,
-    /// Rounds without improvement before [`HillClimb`] restarts from a fresh
-    /// randomized coloration.
-    pub restart_stall: usize,
-    /// Initial simulated-annealing temperature (in CNOT-depth units).
-    pub initial_temperature: f64,
-    /// Multiplicative temperature decay per round.
-    pub cooling: f64,
 }
 
 impl Default for SearchParams {
     fn default() -> Self {
         SearchParams {
             proposals_per_round: 24,
-            beam_width: 4,
             memory_rounds: 3,
             noise: NoiseModel::uniform_depolarizing(1e-3),
             samples_per_iteration: 20,
             maxsat_budget: Duration::from_secs(20),
-            restart_stall: 2,
-            initial_temperature: 1.5,
-            cooling: 0.85,
         }
     }
 }
