@@ -21,6 +21,11 @@
 //! The optimizer records every intermediate schedule, which both documents convergence
 //! (the paper's Figure 12) and supplies the noise-amplification stages used by Hook-ZNE.
 //!
+//! A schedule is judged by its effective distance ([`PropHunt::effective_distance`]):
+//! the same exact search run once over the whole decoding graph of one memory basis.
+//! It returns a [`DistanceBound`] that is either exact, with a witness, or a proved
+//! "at least `lower`" when the solve budget's subset cap is reached first.
+//!
 //! # Example
 //!
 //! ```no_run
@@ -46,5 +51,5 @@ pub mod optimizer;
 
 pub use ambiguity::{find_ambiguous_subgraph, AmbiguousSubgraph, DecodingGraph};
 pub use changes::{CandidateChange, Rejection, RescheduleSwap};
-pub use minweight::{MinWeightSolution, ModelKind};
+pub use minweight::{DistanceBound, MinWeightSolution};
 pub use optimizer::{IterationRecord, OptimizationResult, PropHunt, PropHuntConfig};

@@ -10,6 +10,11 @@
 //! Table 2 and the exact solver's test oracle. [`global_min_weight_logical_error`]
 //! is the Table 2 global model.
 //!
+//! [`global_min_weight`] runs the same search once over the whole decoding
+//! graph, every detector and every mechanism. Its answer is the circuit's
+//! effective distance in one memory basis: exact, or "at least `lower`" when
+//! the subset cap is reached first (a [`DistanceBound`]).
+//!
 //! # The meet-in-the-middle search
 //!
 //! Each column of `(H_sub, L_sub)` is a pair: its syndrome and its observable
@@ -34,21 +39,23 @@
 //! observable values at an odd level, which is why one entry per syndrome is
 //! enough.
 //!
-//! The result depends only on the subgraph: the enumeration order is fixed
-//! and the table's hash has no seed. Syndromes of any width use the same
+//! The result depends only on `(H, L)` and the cap: the enumeration order is
+//! fixed and the table's hash has no seed. Syndromes of any width use the same
 //! multi-word keys.
 
 use crate::ambiguity::{is_ambiguous, AmbiguousSubgraph, DecodingGraph};
 use prophunt_gf2::BitMatrix;
 use prophunt_maxsat::{CnfBuilder, MaxSatOutcome, MaxSatSolver, MaxSatStats, Var};
+use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Column subsets the exact solver may enumerate per second of budget. Table
 /// entries and probes both count.
 ///
-/// [`min_weight_logical_error`] converts its `Duration` budget at this fixed
-/// rate into a deterministic cap, so the same budget buys the same search on
-/// every machine, like the MaxSAT conflict budget. The quick profile's 20 s
+/// [`min_weight_logical_error`] and [`global_min_weight`] convert their
+/// `Duration` budget at this fixed rate into a deterministic cap, so the same
+/// budget buys the same search on every machine, like the MaxSAT conflict
+/// budget. The quick profile's 20 s
 /// buys 100M subsets. On a 2-core Xeon a subset costs 10–150 ns, the upper
 /// end once the table outgrows the caches, so the cap also bounds time.
 ///
@@ -56,24 +63,16 @@ use std::time::{Duration, Instant};
 /// because the level before it probes with as many subsets. Each entry takes
 /// two slots of one word per 64 rows plus one per 64 observables: at most
 /// 1.6 GB at the quick cap for subgraphs with 64 or fewer rows and
-/// observables. The largest count seen on the pinned corpus, the tests and the
-/// benchmark workloads is 4.4M, on a 68-column gb_36_2 subgraph of weight 9.
+/// observables; a whole-graph solve ([`global_min_weight`]) has one more word
+/// per 64 detectors. The largest count seen on the pinned corpus, the tests
+/// and the benchmark workloads is 4.4M, on a 68-column gb_36_2 subgraph of
+/// weight 9.
 pub const SUBSETS_PER_BUDGET_SECOND: u64 = 5_000_000;
 
 /// Converts a solve budget into the exact solver's cap on enumerated subsets.
 pub fn duration_to_subsets(budget: Duration) -> u64 {
     // Millisecond granularity keeps sub-second test budgets meaningful.
     (budget.as_millis() as u64).saturating_mul(SUBSETS_PER_BUDGET_SECOND) / 1000
-}
-
-/// Which formulation produced a model: the tractable per-subgraph one or the global
-/// whole-circuit one (compared in the paper's Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelKind {
-    /// Restricted to an ambiguous subgraph.
-    Subgraph,
-    /// The entire circuit-level decoding graph.
-    Global,
 }
 
 /// A minimum-weight logical error of a subgraph or of the whole decoding graph.
@@ -87,8 +86,6 @@ pub struct MinWeightSolution {
     /// a MaxSAT solve whose conflict budget runs out returns its incumbent with
     /// `false`.
     pub optimal: bool,
-    /// Which formulation was solved.
-    pub kind: ModelKind,
     /// Solve statistics: the MaxSAT model's size and effort, or the exact
     /// search's as documented on [`min_weight_logical_error`], with wall-clock
     /// time as in Table 2.
@@ -135,7 +132,6 @@ fn extract_solution(
     outcome: &MaxSatOutcome,
     error_vars: &[Var],
     index_map: &[usize],
-    kind: ModelKind,
     stats: MaxSatStats,
 ) -> Option<MinWeightSolution> {
     let model = outcome.model()?;
@@ -149,7 +145,6 @@ fn extract_solution(
         weight: errors.len(),
         errors,
         optimal: outcome.is_optimal(),
-        kind,
         stats,
     })
 }
@@ -178,7 +173,7 @@ pub fn min_weight_logical_error(
         return None;
     }
     let columns = Columns::new(h, l);
-    let local = search(&columns, duration_to_subsets(budget))?;
+    let local = search(&columns, duration_to_subsets(budget)).ok()?;
     let errors: Vec<usize> = local.iter().map(|&c| subgraph.errors[c]).collect();
     let stats = MaxSatStats {
         num_variables: columns.count,
@@ -192,9 +187,59 @@ pub fn min_weight_logical_error(
         weight: errors.len(),
         errors,
         optimal: true,
-        kind: ModelKind::Subgraph,
         stats,
     })
+}
+
+/// The minimum weight of a logical error: exactly `lower` when a witness was
+/// found, at least `lower` when the subset cap was reached first.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DistanceBound {
+    /// No logical error is lighter. Every lower weight level was searched in
+    /// full, so this is a proof, not an estimate.
+    pub lower: usize,
+    /// A logical error of weight exactly `lower` as sorted mechanism indices,
+    /// or `None` if the cap was spent during level `lower`.
+    pub witness: Option<Vec<usize>>,
+}
+
+impl DistanceBound {
+    /// The weight, if it is exact.
+    pub fn exact(&self) -> Option<usize> {
+        self.witness.as_ref().map(|_| self.lower)
+    }
+}
+
+impl fmt::Display for DistanceBound {
+    /// `w` for an exact weight, `≥w` for a lower bound. Width and alignment
+    /// flags apply to the whole text.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.witness {
+            Some(_) => f.pad(&self.lower.to_string()),
+            None => f.pad(&format!("≥{}", self.lower)),
+        }
+    }
+}
+
+/// Solves the minimum-weight logical error of the whole decoding graph, every
+/// detector and every mechanism, with the meet-in-the-middle search of the
+/// module docs: the circuit's effective distance in the graph's memory basis.
+///
+/// `budget` is converted through [`SUBSETS_PER_BUDGET_SECOND`] into a cap on
+/// enumerated subsets. A graph without any logical error reads "at least"
+/// one more than the last level searched.
+pub fn global_min_weight(graph: &DecodingGraph, budget: Duration) -> DistanceBound {
+    let columns = Columns::new(&graph.dem().h_matrix(), &graph.dem().l_matrix());
+    match search(&columns, duration_to_subsets(budget)) {
+        Ok(errors) => DistanceBound {
+            lower: errors.len(),
+            witness: Some(errors),
+        },
+        Err(lower) => DistanceBound {
+            lower,
+            witness: None,
+        },
+    }
 }
 
 /// The columns of `(H, L)`, each packed as its syndrome words followed by its
@@ -392,9 +437,10 @@ fn binomial(n: usize, k: usize) -> u64 {
 }
 
 /// Raises the weight level of the module docs until a logical error turns up;
-/// returns its sorted local column indices, or `None` once `cap` subsets have
-/// been enumerated.
-fn search(columns: &Columns, cap: u64) -> Option<Vec<usize>> {
+/// returns its sorted local column indices. `Err(w)` means no logical error
+/// has weight below `w`: the `cap` on enumerated subsets was spent during
+/// level `w`, or every level up to the column count was searched in vain.
+fn search(columns: &Columns, cap: u64) -> Result<Vec<usize>, usize> {
     let sw = columns.syndrome_words;
     let mut remaining = cap;
     // The table of 0-subsets holds the empty set.
@@ -427,13 +473,13 @@ fn search(columns: &Columns, cap: u64) -> Option<Vec<usize>> {
             let mut errors = columns.first_with_syndrome(half, &syndrome);
             errors.extend(probe);
             errors.sort_unstable();
-            return Some(errors);
+            return Ok(errors);
         }
         if remaining == 0 {
-            return None;
+            return Err(w);
         }
     }
-    None
+    Err(columns.count + 1)
 }
 
 /// Solves the subgraph's MaxSAT model: the paper's formulation, kept for the
@@ -449,13 +495,7 @@ pub fn min_weight_logical_error_maxsat(
     let (mut solver, vars) = build_model(&subgraph.h_sub, &subgraph.l_sub);
     let outcome = solver.solve(budget);
     let stats = solver.last_stats().expect("solve records stats");
-    extract_solution(
-        &outcome,
-        &vars,
-        &subgraph.errors,
-        ModelKind::Subgraph,
-        stats,
-    )
+    extract_solution(&outcome, &vars, &subgraph.errors, stats)
 }
 
 /// Solves (or attempts to solve) the global formulation over the entire decoding graph,
@@ -472,7 +512,7 @@ pub fn global_min_weight_logical_error(
     let outcome = solver.solve(budget);
     let stats = solver.last_stats().expect("solve records stats");
     let all_errors: Vec<usize> = (0..graph.num_errors()).collect();
-    let solution = extract_solution(&outcome, &vars, &all_errors, ModelKind::Global, stats);
+    let solution = extract_solution(&outcome, &vars, &all_errors, stats);
     (solution, stats)
 }
 
@@ -542,7 +582,6 @@ mod tests {
                 .expect("ambiguous subgraphs always have a logical error");
             assert!(solution.weight >= 1);
             assert!(solution.optimal);
-            assert_eq!(solution.kind, ModelKind::Subgraph);
             // The union of the two ambiguous explanations is undetected *within the
             // subgraph*: check it flips no subgraph detector but flips an observable.
             let mut det = vec![false; sub.detectors.len()];

@@ -13,7 +13,9 @@ use crate::ambiguity::{find_ambiguous_subgraph, AmbiguousSubgraph, DecodingGraph
 use crate::changes::{
     apply_verified_changes, enumerate_candidates, verify_candidate, VerifiedChange,
 };
-use crate::minweight::{min_weight_logical_error, MinWeightSolution};
+use crate::minweight::{
+    global_min_weight, min_weight_logical_error, DistanceBound, MinWeightSolution,
+};
 use crate::CandidateChange;
 use prophunt_circuit::{CircuitError, MemoryBasis, NoiseModel, ScheduleSpec};
 use prophunt_qec::CssCode;
@@ -39,8 +41,10 @@ pub struct PropHuntConfig {
     /// deterministic cap on the column subsets the exact solver enumerates:
     /// the duration is converted at the fixed
     /// [`crate::minweight::SUBSETS_PER_BUDGET_SECOND`] rate, so the same budget
-    /// buys the same search on every machine. A solve that reaches the cap
-    /// finds nothing, and its subgraph is dropped.
+    /// buys the same search on every machine. A subgraph solve that reaches
+    /// the cap finds nothing, and its subgraph is dropped. The whole-graph
+    /// solve of [`PropHunt::effective_distance`] shares the cap; reaching it
+    /// leaves a lower bound.
     pub maxsat_budget: Duration,
     /// Maximum subgraph-expansion steps before a sample gives up.
     pub max_subgraph_steps: usize,
@@ -156,7 +160,6 @@ impl OptimizationResult {
 mod stage {
     pub const SAMPLE: u64 = 1;
     pub const ENUMERATE: u64 = 2;
-    pub const DISTANCE: u64 = 3;
 }
 
 /// The PropHunt optimizer for a fixed CSS code.
@@ -451,40 +454,24 @@ impl PropHunt {
         verified_per_subgraph
     }
 
-    /// Estimates the effective code distance of `schedule` by sampling ambiguous
-    /// subgraphs in both memory bases and taking the minimum logical-error weight found.
-    ///
-    /// Returns `Ok(None)` if no ambiguous subgraph was found and solved (which,
-    /// for a complete decoding graph, only happens when the sampling budget is
-    /// too small).
+    /// The effective distance of `schedule` in `basis`: the minimum weight of
+    /// an undetected logical error of the whole circuit-level decoding graph,
+    /// solved by [`global_min_weight`] under the subset cap of
+    /// [`PropHuntConfig::maxsat_budget`]. The bound is exact when it carries a
+    /// witness and reads "at least `lower`" when the cap was reached first.
+    /// It is a pure function of the schedule and the configuration; no seed
+    /// or thread count enters it.
     ///
     /// # Errors
     ///
     /// Returns the [`CircuitError`] raised by schedule validation.
-    pub fn estimate_effective_distance(
+    pub fn effective_distance(
         &self,
         schedule: &ScheduleSpec,
-        samples: usize,
-    ) -> Result<Option<usize>, CircuitError> {
-        let mut best: Option<usize> = None;
-        for (i, basis) in [MemoryBasis::Z, MemoryBasis::X].into_iter().enumerate() {
-            let graph = self.build_graph(schedule, basis)?;
-            let stream = self
-                .runtime
-                .seed_stream()
-                .substream(stage::DISTANCE)
-                .substream(i as u64);
-            let weights = self.runtime.par_seeded(samples, &stream, |_task, seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                find_ambiguous_subgraph(&graph, &mut rng, self.config.max_subgraph_steps)
-                    .and_then(|sub| min_weight_logical_error(&sub, self.config.maxsat_budget))
-                    .map(|solution| solution.weight)
-            });
-            for weight in weights.into_iter().flatten() {
-                best = Some(best.map_or(weight, |b| b.min(weight)));
-            }
-        }
-        Ok(best)
+        basis: MemoryBasis,
+    ) -> Result<DistanceBound, CircuitError> {
+        let graph = self.build_graph(schedule, basis)?;
+        Ok(global_min_weight(&graph, self.config.maxsat_budget))
     }
 }
 
@@ -492,6 +479,19 @@ impl PropHunt {
 mod tests {
     use super::*;
     use prophunt_qec::surface::rotated_surface_code_with_layout;
+
+    /// The effective distance over both memory bases; both solves must be
+    /// exact.
+    fn exact_distance(prophunt: &PropHunt, schedule: &ScheduleSpec) -> usize {
+        [MemoryBasis::Z, MemoryBasis::X]
+            .into_iter()
+            .map(|basis| {
+                let bound = prophunt.effective_distance(schedule, basis).unwrap();
+                bound.exact().expect("a d = 3 solve stays under the cap")
+            })
+            .min()
+            .unwrap()
+    }
 
     #[test]
     fn quick_config_is_small() {
@@ -534,10 +534,7 @@ mod tests {
         let config = PropHuntConfig::quick(3).with_seed(11);
         let prophunt = PropHunt::new(code.clone(), config);
         // The poor schedule has d_eff = 2.
-        let before = prophunt
-            .estimate_effective_distance(&poor, 15)
-            .unwrap()
-            .unwrap();
+        let before = exact_distance(&prophunt, &poor);
         assert_eq!(
             before, 2,
             "poor schedule should expose weight-2 logical errors"
@@ -548,14 +545,8 @@ mod tests {
             "optimizer should change the circuit"
         );
         result.final_schedule.validate(prophunt.code()).unwrap();
-        let after = prophunt
-            .estimate_effective_distance(&result.final_schedule, 15)
-            .unwrap()
-            .unwrap();
-        assert!(
-            after > before,
-            "effective distance should improve from {before}, got {after}"
-        );
+        let after = exact_distance(&prophunt, &result.final_schedule);
+        assert_eq!(after, 3, "effective distance should rise from 2 to d = 3");
     }
 
     #[test]
@@ -571,11 +562,8 @@ mod tests {
         let result = prophunt.try_optimize(good.clone()).unwrap();
         result.final_schedule.validate(prophunt.code()).unwrap();
         // The hand-designed schedule already has d_eff = d; whatever the optimizer does,
-        // it must not make the minimum observed logical weight smaller than 3.
-        let d_eff = prophunt
-            .estimate_effective_distance(&result.final_schedule, 10)
-            .unwrap()
-            .unwrap();
+        // it must not make the minimum logical weight smaller than 3.
+        let d_eff = exact_distance(&prophunt, &result.final_schedule);
         assert!(
             d_eff >= 3,
             "optimization must not reduce d_eff below 3, got {d_eff}"
@@ -592,7 +580,7 @@ mod tests {
         let expected = invalid.validate(&code).unwrap_err();
         let prophunt = PropHunt::new(code, PropHuntConfig::quick(3));
         assert_eq!(
-            prophunt.estimate_effective_distance(&invalid, 4),
+            prophunt.effective_distance(&invalid, MemoryBasis::Z),
             Err(expected)
         );
     }

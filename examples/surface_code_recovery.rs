@@ -5,6 +5,7 @@
 //! Run with `cargo run --release --example surface_code_recovery`.
 
 use prophunt_suite::circuit::schedule::ScheduleSpec;
+use prophunt_suite::circuit::MemoryBasis;
 use prophunt_suite::core::{PropHunt, PropHuntConfig};
 use prophunt_suite::qec::surface::rotated_surface_code_with_layout;
 
@@ -15,35 +16,36 @@ fn main() {
         let hand = ScheduleSpec::surface_hand_designed(&code, &layout);
 
         let prophunt = PropHunt::new(code.clone(), PropHuntConfig::quick(d));
-        let d_eff_coloration = prophunt
-            .estimate_effective_distance(&coloration, 15)
-            .expect("coloration schedule is valid");
-        let d_eff_hand = prophunt
-            .estimate_effective_distance(&hand, 15)
-            .expect("hand-designed schedule is valid");
+        // Exact effective distance per memory basis, printed as "(Z, X)"; a
+        // basis whose solve reaches the subset cap would print as "≥w".
+        let d_eff = |schedule: &ScheduleSpec| {
+            let [z, x] = [MemoryBasis::Z, MemoryBasis::X].map(|basis| {
+                prophunt
+                    .effective_distance(schedule, basis)
+                    .expect("every schedule here is valid")
+            });
+            format!("({z}, {x})")
+        };
+        let d_eff_coloration = d_eff(&coloration);
+        let d_eff_hand = d_eff(&hand);
 
         let result = prophunt
             .try_optimize(coloration)
             .expect("coloration schedule is valid");
-        let d_eff_optimized = prophunt
-            .estimate_effective_distance(&result.final_schedule, 15)
-            .expect("the optimizer keeps the schedule valid");
+        let d_eff_optimized = d_eff(&result.final_schedule);
 
         println!("=== surface code d = {d} ===");
         println!(
-            "coloration circuit:   depth {:>2}, estimated d_eff {:?}",
+            "coloration circuit:   depth {:>2}, d_eff (Z, X) = {d_eff_coloration}",
             result.initial_schedule.depth().unwrap(),
-            d_eff_coloration
         );
         println!(
-            "hand-designed (N/Z):  depth {:>2}, estimated d_eff {:?}",
+            "hand-designed (N/Z):  depth {:>2}, d_eff (Z, X) = {d_eff_hand}",
             hand.depth().unwrap(),
-            d_eff_hand
         );
         println!(
-            "PropHunt output:      depth {:>2}, estimated d_eff {:?} ({} changes applied)",
+            "PropHunt output:      depth {:>2}, d_eff (Z, X) = {d_eff_optimized} ({} changes applied)",
             result.final_depth(),
-            d_eff_optimized,
             result.total_changes_applied()
         );
         for record in &result.records {

@@ -57,10 +57,17 @@ fn effective_distance_is_identical_across_thread_counts() {
     let estimate = |threads: usize| {
         let mut config = PropHuntConfig::quick(3).with_seed(7);
         config.runtime.threads = threads;
-        PropHunt::new(code.clone(), config).estimate_effective_distance(&poor, 12)
+        let prophunt = PropHunt::new(code.clone(), config);
+        [MemoryBasis::Z, MemoryBasis::X].map(|basis| prophunt.effective_distance(&poor, basis))
     };
     let reference = estimate(1);
-    assert_eq!(reference, Ok(Some(2)), "poor d=3 schedule has d_eff = 2");
+    assert_eq!(
+        reference
+            .each_ref()
+            .map(|bound| bound.as_ref().unwrap().exact()),
+        [Some(2), Some(3)],
+        "poor d=3 schedule has d_eff (Z, X) = (2, 3)"
+    );
     for threads in [2, 8] {
         assert_eq!(estimate(threads), reference, "threads = {threads}");
     }
