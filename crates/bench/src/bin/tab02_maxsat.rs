@@ -3,15 +3,15 @@
 //!
 //! Each model also gets an `exact` row: the meet-in-the-middle solver the optimizer
 //! uses, run on the same model. Under `global` it is the whole-graph effective
-//! distance bound ([`global_min_weight`]) at the quick optimizer budget; under
-//! `subgraph` it solves the same subgraph. The binary exits nonzero if an exact
-//! weight differs from an optimal MaxSAT weight of its model.
+//! distance bound ([`min_weight`] on the graph's `H` and `L`) at the quick
+//! optimizer budget; under `subgraph` it solves the same subgraph. The binary
+//! exits nonzero if an exact weight differs from an optimal MaxSAT weight of its
+//! model.
 
 use prophunt::ambiguity::{find_ambiguous_subgraph, DecodingGraph};
 use prophunt::minweight::{
-    global_min_weight, global_min_weight_logical_error, global_model_size,
-    min_weight_logical_error, min_weight_logical_error_maxsat, subgraph_model_size,
-    MinWeightSolution,
+    global_min_weight_logical_error, global_model_size, min_weight, min_weight_logical_error,
+    min_weight_logical_error_maxsat, subgraph_model_size, MinWeightSolution,
 };
 use prophunt::PropHuntConfig;
 use prophunt_circuit::schedule::ScheduleSpec;
@@ -66,7 +66,8 @@ fn row(name: &str, code: &CssCode, rounds: usize, global_budget: Duration) -> bo
     };
     print_row(name, "global", Some(global_model_size(&graph)), &gresult);
     let start = Instant::now();
-    let bound = global_min_weight(&graph, PropHuntConfig::quick(rounds).maxsat_budget);
+    let (h, l) = (graph.dem().h_matrix(), graph.dem().l_matrix());
+    let bound = min_weight(&h, &l, PropHuntConfig::quick(rounds).maxsat_budget);
     let etime = start.elapsed();
     let eresult = match bound.exact() {
         Some(w) => format!("{:.3} ms (weight {w})", etime.as_secs_f64() * 1e3),

@@ -4,9 +4,9 @@
 
 use crate::args::{CliError, Flags};
 use crate::common::{
-    append_records, basis_selection_from_flags, budget_from_flags, decoder_from_flags,
-    engine_from_flags, load_code, load_schedule, meta_record, noise_from_flags, read_file,
-    runtime_from_flags, session_from_flags, write_metrics_file, write_trace_files,
+    append_records, basis_selection_from_flags, budget_from_flags, decoder_from_flags, load_code,
+    load_schedule, meta_record, noise_from_flags, read_file, runtime_from_flags,
+    session_from_flags, write_metrics_file, write_trace_files,
 };
 use prophunt_api::{ExperimentSpec, LerJob, LerOptions, LerOutcome, ScheduleSource, StopReason};
 use prophunt_formats::parse_dem;
@@ -26,8 +26,6 @@ prophunt ler --code <family-or-spec-file> [--schedule <s>] [options]
   --noise         full noise spec for --code (depolarizing:<p>[:<idle>],
                   si1000:<p>, biased:<p>:<eta>[:<idle>]); conflicts with --p/--idle
   --decoder       decoder name: bposd (default) or unionfind
-  --engine        estimation engine: frames, the only one (bit-parallel, 64
-                  shots per word); accepted for compatibility, scalar was removed
   --shots         Monte-Carlo shot cap (default 2000)
   --max-failures  stop at the chunk where this many failures accumulate
   --target-rse    stop at the chunk where the relative standard error drops
@@ -60,7 +58,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             "idle",
             "noise",
             "decoder",
-            "engine",
             "shots",
             "max-failures",
             "target-rse",
@@ -76,10 +73,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let runtime = runtime_from_flags(&flags)?;
     let budget = budget_from_flags(&flags, 2000)?;
     let decoder = decoder_from_flags(&flags);
-    let engine = engine_from_flags(&flags)?;
     let (mut session, trace) = session_from_flags(&flags, runtime);
 
-    let meta = meta_record(&runtime, engine.as_str());
+    let meta = meta_record(&runtime, "frames");
     let mut records = vec![meta.clone()];
     match (flags.get("dem"), flags.get("code")) {
         (Some(path), None) => {

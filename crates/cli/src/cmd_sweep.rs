@@ -8,9 +8,8 @@
 
 use crate::args::{CliError, Flags};
 use crate::common::{
-    append_records, basis_selection_from_flags, budget_from_flags, engine_from_flags, load_code,
-    load_schedule, meta_record, runtime_from_flags, session_from_flags, write_metrics_file,
-    write_trace_files,
+    append_records, basis_selection_from_flags, budget_from_flags, load_code, load_schedule,
+    meta_record, runtime_from_flags, session_from_flags, write_metrics_file, write_trace_files,
 };
 use prophunt_api::{ExperimentSpec, LerJob, NoiseSpec, ScheduleSource};
 
@@ -25,8 +24,6 @@ prophunt sweep --codes <fam1,fam2,...> [options]
   --schedule      coloration (default) or hand (surface codes only)
   --basis         z (default), x, or both
   --rounds        syndrome-measurement rounds (default 3)
-  --engine        estimation engine: frames, the only one (bit-parallel, 64
-                  shots per word); accepted for compatibility, scalar was removed
   --shots         shot cap per grid point (default 2000)
   --max-failures  adaptive stop: failures per grid point
   --target-rse    adaptive stop: relative standard error per grid point
@@ -70,7 +67,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             "schedule",
             "basis",
             "rounds",
-            "engine",
             "shots",
             "max-failures",
             "target-rse",
@@ -119,13 +115,12 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::usage("--rounds must be at least 1"));
     }
     let budget = budget_from_flags(&flags, 2000)?;
-    let engine = engine_from_flags(&flags)?;
     let runtime = runtime_from_flags(&flags)?;
 
     // One session for the whole grid: experiments are shared across p's and
     // models across decoders.
     let (mut session, trace) = session_from_flags(&flags, runtime);
-    let meta = meta_record(&runtime, engine.as_str());
+    let meta = meta_record(&runtime, "frames");
     let mut text = String::new();
     let meta_line = meta.to_json_line();
     text.push_str(&meta_line);

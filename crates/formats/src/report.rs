@@ -182,7 +182,7 @@ pub enum ReportRecord {
     },
     /// A generic named data row (benchmark tables).
     Table {
-        /// Row kind (e.g. `"code_parameters"`).
+        /// Row kind (e.g. `"code"`).
         name: String,
         /// Field name/value pairs, in order. The keys `"type"` and `"name"` are
         /// reserved for the record envelope: the writer skips fields using them
@@ -1142,11 +1142,11 @@ mod tests {
                 shots_per_sec: 3200.0,
             },
             ReportRecord::Table {
-                name: "code_parameters".into(),
+                name: "code".into(),
                 fields: vec![
                     ("code".into(), Json::Str("surface_d3".into())),
                     ("n".into(), Json::UInt(9)),
-                    ("d_est".into(), Json::UInt(3)),
+                    ("d_x".into(), Json::UInt(3)),
                 ],
             },
         ];

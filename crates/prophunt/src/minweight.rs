@@ -1,5 +1,5 @@
 //! Minimum-weight logical errors of ambiguous subgraphs (paper Section 5.2 and
-//! Table 2).
+//! Table 2), of whole decoding graphs and of codes.
 //!
 //! PropHunt asks one question of every ambiguous subgraph: find `e` with
 //! `H_sub e = 0`, `L_sub e ≠ 0` and minimum weight. The paper answers it with
@@ -10,10 +10,13 @@
 //! Table 2 and the exact solver's test oracle. [`global_min_weight_logical_error`]
 //! is the Table 2 global model.
 //!
-//! [`global_min_weight`] runs the same search once over the whole decoding
-//! graph, every detector and every mechanism. Its answer is the circuit's
-//! effective distance in one memory basis: exact, or "at least `lower`" when
-//! the subset cap is reached first (a [`DistanceBound`]).
+//! [`min_weight`] is the search on any pair of matrices `(H, L)`: exact, or
+//! "at least `lower`" when the subset cap is reached first (a
+//! [`DistanceBound`]). Every exact minimum weight in the workspace goes
+//! through it: the subgraph solves above, a circuit's effective distance
+//! (`H`, `L` of the whole decoding graph, see
+//! [`crate::PropHunt::effective_distance`]) and a code's distance
+//! ([`code_distance`], the code's checks and logicals).
 //!
 //! # The meet-in-the-middle search
 //!
@@ -46,27 +49,26 @@
 use crate::ambiguity::{is_ambiguous, AmbiguousSubgraph, DecodingGraph};
 use prophunt_gf2::BitMatrix;
 use prophunt_maxsat::{CnfBuilder, MaxSatOutcome, MaxSatSolver, MaxSatStats, Var};
+use prophunt_qec::{CssCode, StabilizerKind};
 use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Column subsets the exact solver may enumerate per second of budget. Table
 /// entries and probes both count.
 ///
-/// [`min_weight_logical_error`] and [`global_min_weight`] convert their
-/// `Duration` budget at this fixed rate into a deterministic cap, so the same
-/// budget buys the same search on every machine, like the MaxSAT conflict
-/// budget. The quick profile's 20 s
-/// buys 100M subsets. On a 2-core Xeon a subset costs 10–150 ns, the upper
+/// [`min_weight`] converts its `Duration` budget at this fixed rate into a
+/// deterministic cap, so the same budget buys the same search on every
+/// machine, like the MaxSAT conflict budget. The quick profile's 20 s buys
+/// 100M subsets. On a 2-core Xeon a subset costs 10–150 ns, the upper
 /// end once the table outgrows the caches, so the cap also bounds time.
 ///
 /// The cap bounds memory too. A table never holds more than half the cap,
 /// because the level before it probes with as many subsets. Each entry takes
 /// two slots of one word per 64 rows plus one per 64 observables: at most
 /// 1.6 GB at the quick cap for subgraphs with 64 or fewer rows and
-/// observables; a whole-graph solve ([`global_min_weight`]) has one more word
-/// per 64 detectors. The largest count seen on the pinned corpus, the tests
-/// and the benchmark workloads is 4.4M, on a 68-column gb_36_2 subgraph of
-/// weight 9.
+/// observables; a whole-graph solve has one more word per 64 detectors. The
+/// largest count seen on the pinned corpus, the tests and the benchmark
+/// workloads is 4.4M, on a 68-column gb_36_2 subgraph of weight 9.
 pub const SUBSETS_PER_BUDGET_SECOND: u64 = 5_000_000;
 
 /// Converts a solve budget into the exact solver's cap on enumerated subsets.
@@ -172,13 +174,12 @@ pub fn min_weight_logical_error(
     if !is_ambiguous(h, l) {
         return None;
     }
-    let columns = Columns::new(h, l);
-    let local = search(&columns, duration_to_subsets(budget)).ok()?;
+    let local = min_weight(h, l, budget).witness?;
     let errors: Vec<usize> = local.iter().map(|&c| subgraph.errors[c]).collect();
     let stats = MaxSatStats {
-        num_variables: columns.count,
+        num_variables: h.num_cols(),
         num_hard_clauses: h.num_rows(),
-        num_soft_clauses: columns.count,
+        num_soft_clauses: h.num_cols(),
         wall_time: start.elapsed(),
         conflicts: 0,
         iterations: errors.len(),
@@ -198,8 +199,9 @@ pub struct DistanceBound {
     /// No logical error is lighter. Every lower weight level was searched in
     /// full, so this is a proof, not an estimate.
     pub lower: usize,
-    /// A logical error of weight exactly `lower` as sorted mechanism indices,
-    /// or `None` if the cap was spent during level `lower`.
+    /// A logical error of weight exactly `lower` as sorted column indices
+    /// (mechanisms of a decoding graph, qubits of a code), or `None` if the
+    /// cap was spent during level `lower`.
     pub witness: Option<Vec<usize>>,
 }
 
@@ -221,16 +223,15 @@ impl fmt::Display for DistanceBound {
     }
 }
 
-/// Solves the minimum-weight logical error of the whole decoding graph, every
-/// detector and every mechanism, with the meet-in-the-middle search of the
-/// module docs: the circuit's effective distance in the graph's memory basis.
+/// Solves the minimum weight of `x` with `H x = 0` and `L x ≠ 0` with the
+/// meet-in-the-middle search of the module docs; the witness lists the
+/// columns of `x`.
 ///
 /// `budget` is converted through [`SUBSETS_PER_BUDGET_SECOND`] into a cap on
-/// enumerated subsets. A graph without any logical error reads "at least"
-/// one more than the last level searched.
-pub fn global_min_weight(graph: &DecodingGraph, budget: Duration) -> DistanceBound {
-    let columns = Columns::new(&graph.dem().h_matrix(), &graph.dem().l_matrix());
-    match search(&columns, duration_to_subsets(budget)) {
+/// enumerated subsets. A pair without any such `x` reads "at least" one more
+/// than the column count.
+pub fn min_weight(h: &BitMatrix, l: &BitMatrix, budget: Duration) -> DistanceBound {
+    match search(&Columns::new(h, l), duration_to_subsets(budget)) {
         Ok(errors) => DistanceBound {
             lower: errors.len(),
             witness: Some(errors),
@@ -240,6 +241,18 @@ pub fn global_min_weight(graph: &DecodingGraph, budget: Duration) -> DistanceBou
             witness: None,
         },
     }
+}
+
+/// The minimum weight of a `kind`-type logical operator of `code`: a
+/// `kind`-type Pauli that no opposite-kind check detects and that flips an
+/// opposite-kind logical. The code distance is the smaller of the two kinds.
+/// The witness lists the operator's qubits.
+pub fn code_distance(code: &CssCode, kind: StabilizerKind, budget: Duration) -> DistanceBound {
+    min_weight(
+        code.checks(kind.opposite()),
+        code.logicals(kind.opposite()),
+        budget,
+    )
 }
 
 /// The columns of `(H, L)`, each packed as its syndrome words followed by its

@@ -13,9 +13,7 @@ use crate::ambiguity::{find_ambiguous_subgraph, AmbiguousSubgraph, DecodingGraph
 use crate::changes::{
     apply_verified_changes, enumerate_candidates, verify_candidate, VerifiedChange,
 };
-use crate::minweight::{
-    global_min_weight, min_weight_logical_error, DistanceBound, MinWeightSolution,
-};
+use crate::minweight::{min_weight, min_weight_logical_error, DistanceBound, MinWeightSolution};
 use crate::CandidateChange;
 use prophunt_circuit::{CircuitError, MemoryBasis, NoiseModel, ScheduleSpec};
 use prophunt_qec::CssCode;
@@ -456,11 +454,11 @@ impl PropHunt {
 
     /// The effective distance of `schedule` in `basis`: the minimum weight of
     /// an undetected logical error of the whole circuit-level decoding graph,
-    /// solved by [`global_min_weight`] under the subset cap of
-    /// [`PropHuntConfig::maxsat_budget`]. The bound is exact when it carries a
-    /// witness and reads "at least `lower`" when the cap was reached first.
-    /// It is a pure function of the schedule and the configuration; no seed
-    /// or thread count enters it.
+    /// solved by [`min_weight`] on the graph's `H` and `L` under the subset
+    /// cap of [`PropHuntConfig::maxsat_budget`]. The bound is exact when it
+    /// carries a witness and reads "at least `lower`" when the cap was reached
+    /// first. It is a pure function of the schedule and the configuration; no
+    /// seed or thread count enters it.
     ///
     /// # Errors
     ///
@@ -471,7 +469,12 @@ impl PropHunt {
         basis: MemoryBasis,
     ) -> Result<DistanceBound, CircuitError> {
         let graph = self.build_graph(schedule, basis)?;
-        Ok(global_min_weight(&graph, self.config.maxsat_budget))
+        let dem = graph.dem();
+        Ok(min_weight(
+            &dem.h_matrix(),
+            &dem.l_matrix(),
+            self.config.maxsat_budget,
+        ))
     }
 }
 

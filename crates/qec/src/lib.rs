@@ -13,8 +13,8 @@
 //!   `README.md` for the substitution rationale).
 //!
 //! The central type is [`CssCode`]; construction validates stabilizer commutation and
-//! derives a symplectically paired basis of logical operators. Code distance can be
-//! estimated with [`distance::estimate_distance`].
+//! derives a symplectically paired basis of logical operators. A code's exact distance
+//! is solved from its checks and logicals by `prophunt::minweight::code_distance`.
 //!
 //! # Example
 //!
@@ -32,7 +32,6 @@
 
 pub mod classical;
 pub mod css;
-pub mod distance;
 pub mod product;
 pub mod small;
 pub mod surface;

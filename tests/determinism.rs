@@ -51,29 +51,6 @@ fn optimizer_records_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn effective_distance_is_identical_across_thread_counts() {
-    let (code, layout) = rotated_surface_code_with_layout(3);
-    let poor = ScheduleSpec::surface_poor(&code, &layout);
-    let estimate = |threads: usize| {
-        let mut config = PropHuntConfig::quick(3).with_seed(7);
-        config.runtime.threads = threads;
-        let prophunt = PropHunt::new(code.clone(), config);
-        [MemoryBasis::Z, MemoryBasis::X].map(|basis| prophunt.effective_distance(&poor, basis))
-    };
-    let reference = estimate(1);
-    assert_eq!(
-        reference
-            .each_ref()
-            .map(|bound| bound.as_ref().unwrap().exact()),
-        [Some(2), Some(3)],
-        "poor d=3 schedule has d_eff (Z, X) = (2, 3)"
-    );
-    for threads in [2, 8] {
-        assert_eq!(estimate(threads), reference, "threads = {threads}");
-    }
-}
-
-#[test]
 fn ler_failure_counts_are_identical_across_thread_counts() {
     let (code, layout) = rotated_surface_code_with_layout(3);
     let schedule = ScheduleSpec::surface_hand_designed(&code, &layout);
@@ -196,7 +173,7 @@ fn chunk_size_is_part_of_the_deterministic_contract() {
     assert_eq!(estimate(1, 17), estimate(4, 17));
 }
 
-/// Satellite of the bit-parallel frame engine: a `--engine frames` run is a
+/// Satellite of the bit-parallel frame engine: a frames-engine run is a
 /// pure function of `(seed, chunk_size)` — the whole outcome (per-basis
 /// counts, stop reason) is bit-identical at 1, 2 and 8 threads.
 #[test]
