@@ -626,15 +626,13 @@ pub struct DemSampler {
 }
 
 impl DemSampler {
-    /// Samples one shot, returning `(detector outcomes, observable flips, fired errors)`.
-    pub fn sample_with_errors(&mut self) -> (BitVec, BitVec, Vec<usize>) {
+    /// Samples one shot, returning `(detector outcomes, observable flips)`.
+    pub fn sample(&mut self) -> (BitVec, BitVec) {
         let mut dets = BitVec::zeros(self.num_detectors);
         let mut obs = BitVec::zeros(self.num_observables);
-        let mut fired = Vec::new();
         let tables = &self.tables;
         for (i, &p) in tables.probabilities.iter().enumerate() {
             if self.rng.gen_bool(p) {
-                fired.push(i);
                 for &d in tables.detectors(i) {
                     dets.flip(d as usize);
                 }
@@ -643,13 +641,7 @@ impl DemSampler {
                 }
             }
         }
-        (dets, obs, fired)
-    }
-
-    /// Samples one shot, returning `(detector outcomes, observable flips)`.
-    pub fn sample(&mut self) -> (BitVec, BitVec) {
-        let (d, o, _) = self.sample_with_errors();
-        (d, o)
+        (dets, obs)
     }
 
     /// Samples up to 64 shots at once into detector-major *frame* buffers: bit

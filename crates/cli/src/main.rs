@@ -18,21 +18,27 @@
 //! * `trace` — analyze the span-event trace files written by `--trace`:
 //!   pool-utilization timeline, per-stage concurrency, critical path, and the
 //!   search-convergence summary.
-//! * `lint` — run the `prophunt-lint` determinism & discipline rules (D1–D7)
-//!   over the workspace sources and manifests.
 //!
 //! Exit codes: 0 on success, 1 when an operation fails (unreadable file, invalid
 //! schedule, ...), 2 for usage errors. User input never panics the process: every
 //! input path goes through the typed parsers of `prophunt-formats`.
 
 #![forbid(unsafe_code)]
+// D6: user input never panics the process; every failure is a typed error.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod args;
 mod cmd_check;
 mod cmd_code;
 mod cmd_dem;
 mod cmd_ler;
-mod cmd_lint;
 mod cmd_optimize;
 mod cmd_report;
 mod cmd_search;
@@ -58,7 +64,6 @@ commands:
   check     re-parse emitted files (auto-detects the format)
   report    summarize or diff metrics files written with --metrics
   trace     analyze a span-event trace written with --trace
-  lint      statically check workspace crates against rules D1-D7
 
 run `prophunt <command> --help` for per-command flags";
 
@@ -78,7 +83,6 @@ fn dispatch(command: &str, rest: &[String]) -> Result<(), CliError> {
         "check" if wants_help => usage_of(cmd_check::USAGE),
         "report" if wants_help => usage_of(cmd_report::USAGE),
         "trace" if wants_help => usage_of(cmd_trace::USAGE),
-        "lint" if wants_help => usage_of(cmd_lint::USAGE),
         "code" => cmd_code::run(rest),
         "dem" => cmd_dem::run(rest),
         "optimize" => cmd_optimize::run(rest),
@@ -88,7 +92,6 @@ fn dispatch(command: &str, rest: &[String]) -> Result<(), CliError> {
         "check" => cmd_check::run(rest),
         "report" => cmd_report::run(rest),
         "trace" => cmd_trace::run(rest),
-        "lint" => cmd_lint::run(rest),
         "--help" | "-h" | "help" => usage_of(USAGE),
         other => Err(CliError::Usage(format!("unknown command {other:?}"))),
     }
@@ -105,7 +108,6 @@ fn usage_for(command: &str) -> &'static str {
         "check" => cmd_check::USAGE,
         "report" => cmd_report::USAGE,
         "trace" => cmd_trace::USAGE,
-        "lint" => cmd_lint::USAGE,
         _ => USAGE,
     }
 }
@@ -127,6 +129,19 @@ fn main() -> ExitCode {
         Err(CliError::Failure(message)) => {
             eprintln!("error: {message}");
             ExitCode::from(1)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_commands_are_usage_errors() {
+        // `lint` is a retired command.
+        for command in ["lint", "nope"] {
+            assert!(matches!(dispatch(command, &[]), Err(CliError::Usage(_))));
         }
     }
 }

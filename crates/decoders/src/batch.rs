@@ -100,7 +100,7 @@ pub fn decode_shots_cached(
     let mut distinct: Vec<usize> = Vec::new();
     // Hash buckets hold indices into `distinct` and are chained on word
     // equality; the map is only ever *looked up* by key, never iterated, so
-    // its internal order can't leak into results (lint rule no-hash-iter).
+    // its internal order can't leak into results (rule D2, clippy.toml).
     let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
     for (i, shot) in shots.iter().enumerate() {
         if shot.is_zero() {

@@ -44,6 +44,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// D6: user input never panics the process; every failure is a typed error.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod code;
 pub mod dem;

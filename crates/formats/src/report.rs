@@ -255,26 +255,6 @@ pub enum ReportRecord {
         /// Ordered `(key, value)` event arguments.
         args: Vec<(String, u64)>,
     },
-    /// One `prophunt lint` static-analysis diagnostic (report v3 extension).
-    ///
-    /// Emitted by `prophunt lint --format json`, one record per finding, so
-    /// lint output round-trips through the same report toolchain
-    /// (`prophunt check`, the analyzer) as every other stream.
-    Lint {
-        /// Workspace-relative path of the offending file.
-        file: String,
-        /// 1-based line of the finding.
-        line: u64,
-        /// 1-based column of the finding.
-        col: u64,
-        /// Display id of the violated rule, e.g. `"D1-no-wall-clock"`.
-        rule: String,
-        /// Human-readable description of the violation.
-        message: String,
-        /// Justification text of the suppression covering this finding; empty
-        /// when the finding is unsuppressed (and therefore fatal in CI).
-        suppressed_by: String,
-    },
 }
 
 /// One exported log2-bucketed histogram inside a [`ReportRecord::Metrics`]
@@ -749,22 +729,6 @@ impl ReportRecord {
                     ),
                 ])
             }
-            ReportRecord::Lint {
-                file,
-                line,
-                col,
-                rule,
-                message,
-                suppressed_by,
-            } => Json::Object(vec![
-                ("type".into(), Json::Str("lint".into())),
-                ("file".into(), Json::Str(file.clone())),
-                ("line".into(), Json::UInt(*line)),
-                ("col".into(), Json::UInt(*col)),
-                ("rule".into(), Json::Str(rule.clone())),
-                ("message".into(), Json::Str(message.clone())),
-                ("suppressed_by".into(), Json::Str(suppressed_by.clone())),
-            ]),
         };
         obj.to_json()
     }
@@ -866,14 +830,6 @@ impl ReportRecord {
                 depth: get_u64(&obj, "depth")?,
                 improved: get_bool(&obj, "improved")?,
                 schedule: get_str(&obj, "schedule")?,
-            }),
-            "lint" => Ok(ReportRecord::Lint {
-                file: get_str(&obj, "file")?,
-                line: get_u64(&obj, "line")?,
-                col: get_u64(&obj, "col")?,
-                rule: get_str(&obj, "rule")?,
-                message: get_str(&obj, "message")?,
-                suppressed_by: opt_str(&obj, "suppressed_by", ""),
             }),
             "search_end" => Ok(ReportRecord::SearchEnd {
                 rounds: get_u64(&obj, "rounds")?,
@@ -1252,8 +1208,14 @@ mod tests {
         .to_json_line();
         let err = parse_report(&format!("{good}\nnot json\n")).unwrap_err();
         assert_eq!(err.line, 2);
-        let err = parse_report("{\"type\":\"mystery\"}\n").unwrap_err();
-        assert!(err.message.contains("unknown report record type"));
+        // `lint` (a retired type) is rejected like any other unknown type.
+        for unknown in [
+            "{\"type\":\"mystery\"}",
+            "{\"type\":\"lint\",\"file\":\"a.rs\"}",
+        ] {
+            let err = parse_report(&format!("{unknown}\n")).unwrap_err();
+            assert!(err.message.contains("unknown report record type"));
+        }
     }
 
     #[test]
@@ -1387,45 +1349,6 @@ mod tests {
         assert_eq!(parsed, records);
         // The deterministic subset is one self-contained JSON object.
         assert!(text.contains("\"counters\":{\"ler.chunks\":32,\"ler.shots\":2048}"));
-    }
-
-    #[test]
-    fn lint_records_round_trip_and_tolerate_missing_suppression() {
-        let records = vec![
-            ReportRecord::Lint {
-                file: "crates/decoders/src/ler.rs".into(),
-                line: 411,
-                col: 22,
-                rule: "D1-no-wall-clock".into(),
-                message: "Instant::now() on the deterministic path".into(),
-                suppressed_by: "timing seam: feeds the obs stage histograms".into(),
-            },
-            ReportRecord::Lint {
-                file: "crates/qec/src/css.rs".into(),
-                line: 3,
-                col: 1,
-                rule: "D5-forbid-unsafe".into(),
-                message: "crate root is missing #![forbid(unsafe_code)]".into(),
-                suppressed_by: String::new(),
-            },
-        ];
-        let text = write_report(&records);
-        let parsed = parse_report(&text).unwrap();
-        assert_eq!(parsed, records);
-        // suppressed_by is optional on parse for older emitters.
-        let bare = r#"{"type":"lint","file":"a.rs","line":1,"col":2,"rule":"D4-no-ambient-rng","message":"m"}"#;
-        let rec = ReportRecord::from_json_line(bare).unwrap();
-        assert_eq!(
-            rec,
-            ReportRecord::Lint {
-                file: "a.rs".into(),
-                line: 1,
-                col: 2,
-                rule: "D4-no-ambient-rng".into(),
-                message: "m".into(),
-                suppressed_by: String::new(),
-            }
-        );
     }
 
     #[test]

@@ -137,17 +137,11 @@ impl BitVec {
         *word & mask != 0
     }
 
-    /// Returns the Hamming weight (number of one bits).
-    pub fn weight(&self) -> usize {
-        self.count_ones()
-    }
-
-    /// Returns the number of one bits, counting whole words at a time.
+    /// Returns the Hamming weight (number of one bits), counting whole words at
+    /// a time.
     ///
-    /// Four independent accumulators keep the per-word popcounts pipelined; this
-    /// is the fast path behind [`BitVec::weight`] and the frame kernels of the
-    /// bit-parallel decoder engine.
-    pub fn count_ones(&self) -> usize {
+    /// Four independent accumulators keep the per-word popcounts pipelined.
+    pub fn weight(&self) -> usize {
         let mut acc = [0usize; 4];
         let mut quads = self.words.chunks_exact(4);
         for quad in &mut quads {
@@ -673,7 +667,6 @@ mod tests {
         fn prop_count_ones_matches_naive_bit_loop(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
             let v = BitVec::from_bools(&bits);
             let naive = (0..v.len()).filter(|&i| v.get(i)).count();
-            prop_assert_eq!(v.count_ones(), naive);
             prop_assert_eq!(v.weight(), naive);
         }
 
@@ -693,7 +686,7 @@ mod tests {
             }
             v.xor_assign_from_slice(words);
             prop_assert_eq!(&v, &expected);
-            prop_assert_eq!(v.count_ones(), expected.weight());
+            prop_assert_eq!(v.weight(), expected.weight());
         }
 
         #[test]

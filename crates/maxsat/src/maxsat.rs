@@ -22,7 +22,7 @@
 
 use crate::cnf::{CnfBuilder, Lit, Var};
 use crate::solver::{SolveBudget, SolveResult, Solver};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Exchange rate used to map a wall-clock `Duration` budget onto a deterministic
 /// conflict budget: one "budget second" buys this many SAT-solver conflicts.
@@ -173,9 +173,11 @@ impl MaxSatSolver {
     /// remains after the conflicts already spent, so the whole MaxSAT solve —
     /// not just each inner SAT call — is bounded and reproducible.
     pub fn solve_budget(&mut self, budget: SolveBudget) -> MaxSatOutcome {
-        // lint: allow(no-wall-clock) — timing-only: feeds the wall_time stat for
-        // Table 2 reporting; termination is decided purely by the conflict budget.
-        let start = Instant::now();
+        #[allow(
+            clippy::disallowed_types,
+            reason = "timing only: feeds the wall_time stat for Table 2; the conflict budget alone decides termination"
+        )]
+        let start = std::time::Instant::now();
         let mut solver = self.hard.build_solver();
         let mut iterations = 0usize;
         // Totalizer outputs over the violated softs, built after the first model.

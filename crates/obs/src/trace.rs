@@ -503,6 +503,10 @@ mod tests {
         let tracer = Tracer::new();
         let call = tracer.span("call", "test");
         let call_id = call.id();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the test needs real worker threads, as the runtime pool starts them"
+        )]
         std::thread::scope(|scope| {
             for w in 0..3u64 {
                 let tracer = tracer.clone();

@@ -221,7 +221,10 @@ pub enum Rejection {
 /// and its depth when it survives, `None` when it is pruned.
 ///
 /// This is [`check_candidate`] without the rejection reason.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the same inputs as check_candidate, which it wraps"
+)]
 pub fn verify_candidate(
     code: &CssCode,
     base_eval: &ScheduleEval,
@@ -274,7 +277,10 @@ pub fn verify_candidate(
 ///   mechanism order, so "the last matching mechanism wins" and the dedup before the
 ///   XOR are those of a rebuilt model. The faults still form a logical error iff the
 ///   XOR of the distinct matched signatures flips no detector and some observable.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a candidate is checked against its base schedule, subgraph, solution, graph and noise; a bundling struct would exist for this call alone"
+)]
 pub fn check_candidate(
     code: &CssCode,
     base_eval: &ScheduleEval,
@@ -457,7 +463,10 @@ mod tests {
     /// The verification `check_candidate` replaced, kept as its oracle: the changed
     /// circuit's full decoding graph, its restricted matrices, and a scan of every new
     /// mechanism's sources for the solution's faults.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the oracle takes exactly check_candidate's inputs"
+    )]
     fn check_by_rebuild(
         code: &CssCode,
         base_eval: &ScheduleEval,

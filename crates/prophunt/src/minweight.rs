@@ -51,7 +51,7 @@ use prophunt_gf2::BitMatrix;
 use prophunt_maxsat::{CnfBuilder, MaxSatOutcome, MaxSatSolver, MaxSatStats, Var};
 use prophunt_qec::{CssCode, StabilizerKind};
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Column subsets the exact solver may enumerate per second of budget. Table
 /// entries and probes both count.
@@ -167,9 +167,11 @@ pub fn min_weight_logical_error(
     subgraph: &AmbiguousSubgraph,
     budget: Duration,
 ) -> Option<MinWeightSolution> {
-    // lint: allow(no-wall-clock) — timing-only: feeds the wall_time stat; the
-    // search is bounded by its subset cap alone.
-    let start = Instant::now();
+    #[allow(
+        clippy::disallowed_types,
+        reason = "timing only: feeds the wall_time stat; the search is bounded by its subset cap alone"
+    )]
+    let start = std::time::Instant::now();
     let (h, l) = (&subgraph.h_sub, &subgraph.l_sub);
     if !is_ambiguous(h, l) {
         return None;

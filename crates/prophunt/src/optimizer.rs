@@ -366,7 +366,10 @@ impl PropHunt {
 
     /// Enumerates candidate changes for each solved subgraph with a
     /// deterministic per-iteration RNG stream.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "a private stage hand-off, named once here and destructured by its one caller"
+    )]
     fn enumerate_stage(
         &self,
         graph: &DecodingGraph,

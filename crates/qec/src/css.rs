@@ -367,7 +367,6 @@ fn derive_logicals(hx: &BitMatrix, hz: &BitMatrix) -> Result<(BitMatrix, BitMatr
     // quotient spaces is non-degenerate.
     let m = lx.mul(&lz.transpose()).expect("shape");
     let mut new_lz_rows = Vec::with_capacity(k);
-    let mt = m.transpose();
     for j in 0..k {
         // Column j of A^T = solution of M x = e_j  =>  row j of A solves M^T? We need
         // A such that M A^T = I, so column j of A^T satisfies M * col_j = e_j.
@@ -383,7 +382,6 @@ fn derive_logicals(hx: &BitMatrix, hz: &BitMatrix) -> Result<(BitMatrix, BitMatr
         }
         new_lz_rows.push(row);
     }
-    let _ = mt; // retained for clarity of derivation; not otherwise needed
     let lz = BitMatrix::from_rows(new_lz_rows, n);
     Ok((lx, lz))
 }

@@ -268,6 +268,10 @@ impl Runtime {
         let timed = &timed;
         let next = &next;
         let tracer = self.obs.tracer();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the worker pool is the one place threads start (D3)"
+        )]
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
