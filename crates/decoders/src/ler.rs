@@ -3,10 +3,12 @@
 //! Sampling is split into fixed-size *chunks* of `runtime.chunk_size()` shots; chunk
 //! `c` draws its shots from an independent RNG stream seeded with
 //! `SeedStream::new(seed).seed_for(c)`. The chunk boundaries and seeds depend only on
-//! `(seed, chunk_size)`, never on the worker-thread count, and adaptive stopping
-//! decisions ([`ShotBudget`]) are evaluated *in chunk order*, so a fixed
-//! `(seed, chunk_size)` gives bit-identical failure counts at any thread count —
-//! including runs that stop early.
+//! `(seed, chunk_size)`, never on the worker-thread count. All chunks of one
+//! estimate run in one streamed pool call ([`Runtime::run_ordered`]), which hands
+//! finished chunks back in chunk order; adaptive stopping decisions
+//! ([`ShotBudget`]) are evaluated in that order, and chunks already run past the
+//! stop are discarded. So a fixed `(seed, chunk_size)` gives bit-identical failure
+//! counts at any thread count — including runs that stop early.
 //!
 //! The per-chunk kernel is bit-parallel: it packs 64 shots per machine word
 //! ([`DemSampler::sample_frames`](prophunt_circuit::DemSampler::sample_frames)),
@@ -220,13 +222,14 @@ impl LerOptions {
 /// error, covering both X and Z logicals when both experiments' estimates are
 /// combined).
 ///
-/// Chunks are evaluated in parallel waves, but the stopping rule is applied by
-/// scanning completed chunks *in chunk-index order*, so the returned estimate (and
-/// the observer's event stream) is a pure function of `(seed, chunk_size, budget)`
-/// — the thread count changes wall-clock time only. In particular, an
-/// early-stopped run returns exactly the cumulative tally of chunks `0..=k` of the
-/// equivalent [`ShotBudget::Fixed`] run, where `k` is the first chunk satisfying
-/// the rule.
+/// Chunks run in one streamed pool call ([`Runtime::run_ordered`]), and the
+/// stopping rule is applied by scanning completed chunks *in chunk-index order*,
+/// so the returned estimate (and the observer's event stream) is a pure function
+/// of `(seed, chunk_size, budget)` — the thread count changes wall-clock time
+/// only. Chunks the pool has already run past an adaptive stop are discarded. In
+/// particular, an early-stopped run returns exactly the cumulative tally of chunks
+/// `0..=k` of the equivalent [`ShotBudget::Fixed`] run, where `k` is the first
+/// chunk satisfying the rule.
 ///
 /// `observer` is invoked once per counted chunk with the cumulative progress.
 pub fn estimate_logical_error_rate(
@@ -245,9 +248,9 @@ pub fn estimate_logical_error_rate(
     let total_chunks = max_shots.div_ceil(chunk);
     let stream = SeedStream::new(seed);
     let mut cumulative = LogicalErrorEstimate::ZERO;
-    let mut done = 0usize;
+    let mut stop = None;
     // LER counters are incremented only in the in-order adaptive scan below:
-    // a wave may execute surplus chunks past an early stop, but those are
+    // the pool may execute surplus chunks past an early stop, but those are
     // discarded, so the counted chunk prefix — and every counter — is a pure
     // function of (seed, chunk_size, budget), never of the thread count.
     let obs = runtime.obs();
@@ -263,17 +266,13 @@ pub fn estimate_logical_error_rate(
     ]
     .map(|name| obs.counter(name));
     let spans = ChunkSpans::new(obs);
-    while done < total_chunks {
-        // One wave of chunks. The wave size is a wall-clock knob only: stopping is
-        // decided by an in-order scan below, so overshooting a wave never changes
-        // the result — surplus chunks are simply discarded.
-        let wave = (runtime.threads() * 2).clamp(1, total_chunks - done);
-        let results = runtime.run_tasks(wave, |i| {
-            let c = done + i;
+    runtime.run_ordered(
+        total_chunks,
+        |c| {
             let chunk_shots = chunk.min(max_shots - c * chunk);
             run_chunk(dem, decoder, chunk_shots, stream.seed_for(c as u64), &spans)
-        });
-        for (i, (estimate, decode)) in results.into_iter().enumerate() {
+        },
+        |c, (estimate, decode)| {
             cumulative = cumulative.combined(estimate);
             let tallies = [
                 1,
@@ -291,17 +290,15 @@ pub fn estimate_logical_error_rate(
                 }
             }
             observer(ChunkProgress {
-                chunk: done + i,
+                chunk: c,
                 shots: cumulative.shots,
                 failures: cumulative.failures,
             });
-            if let Some(reason) = budget.adaptive_stop(&cumulative) {
-                return (cumulative, reason);
-            }
-        }
-        done += wave;
-    }
-    (cumulative, LerStopReason::ShotsExhausted)
+            stop = budget.adaptive_stop(&cumulative);
+            stop.is_none()
+        },
+    );
+    (cumulative, stop.unwrap_or(LerStopReason::ShotsExhausted))
 }
 
 /// The chunk kernel's span sites, resolved once per estimation run: the
@@ -710,8 +707,8 @@ mod tests {
     fn ler_counters_are_thread_count_invariant_and_stage_timings_recorded() {
         let dem = surface_dem(3, 0.02, 2);
         let decoder = BpOsdDecoder::new(&dem);
-        // An early-stopping budget: waves overshoot the stop point at high
-        // thread counts, which is exactly the case the counter contract has
+        // An early-stopping budget: the pool overshoots the stop point at
+        // high thread counts, which is exactly the case the counter contract has
         // to survive.
         let options = LerOptions::new(
             ShotBudget::MaxFailures {
@@ -768,6 +765,13 @@ mod tests {
         let estimate = fixed(&dem, &decoder, 200, 7, &traced);
         assert_eq!(estimate, baseline, "tracing changed the result");
         let log = tracer.drain();
+        // All chunks of the estimate run in one pool call.
+        let calls = log
+            .events
+            .iter()
+            .filter(|e| e.name == "runtime.call")
+            .count();
+        assert_eq!(calls, 1, "one runtime.call span per estimate");
         let chunk_spans = log.events.iter().filter(|e| e.name == "ler.chunk").count();
         assert!(chunk_spans > 0, "no ler.chunk spans");
         for stage in [

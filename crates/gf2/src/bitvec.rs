@@ -664,13 +664,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_count_ones_matches_naive_bit_loop(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
-            let v = BitVec::from_bools(&bits);
-            let naive = (0..v.len()).filter(|&i| v.get(i)).count();
-            prop_assert_eq!(v.weight(), naive);
-        }
-
-        #[test]
         fn prop_xor_assign_from_slice_matches_naive_bit_loop(
             bits in proptest::collection::vec(any::<bool>(), 1..300),
             words in proptest::collection::vec(any::<u64>(), 5),

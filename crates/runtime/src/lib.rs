@@ -26,6 +26,13 @@
 //! at most that many scoped workers (fewer when there are fewer tasks) and
 //! never one thread per work item.
 //!
+//! The core primitive is [`Runtime::run_ordered`]: one call, one
+//! [`std::thread::scope`], results streamed back to the caller in task order,
+//! and an early stop when the caller has seen enough (the LER estimator runs
+//! every chunk of one estimate this way and stops at its adaptive rule).
+//! [`Runtime::run_tasks`], [`Runtime::par_map`] and [`Runtime::par_seeded`]
+//! collect every result into a `Vec` on top of it.
+//!
 //! # Example
 //!
 //! ```
@@ -46,7 +53,10 @@
 #![warn(missing_docs)]
 
 use prophunt_obs::{duration_ns, Obs};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// Configuration of the shared parallel runtime.
@@ -152,26 +162,28 @@ impl SeedStream {
 
 /// The shared bounded worker pool.
 ///
-/// A `Runtime` is cheap to construct and holds only its configuration; each
-/// parallel call opens a [`std::thread::scope`] with at most
-/// `config.threads` workers that pull task indices from an atomic counter
-/// (dynamic load balancing, fixed task set). Results are always returned in
-/// task order regardless of completion order.
+/// A `Runtime` is cheap to construct and holds only its configuration; no
+/// thread outlives a call. Every parallel call goes through
+/// [`Runtime::run_ordered`], which opens one [`std::thread::scope`] with at
+/// most `config.threads` workers that pull task indices from an atomic counter
+/// (dynamic load balancing, fixed task set). Results always reach the caller
+/// in task order regardless of completion order.
 /// Pool-level instrumentation is optional: [`Runtime::new`] attaches no
 /// observability registry ([`RuntimeConfig`] stays `Copy`, and the seed
 /// streams never see the registry), while [`Runtime::with_obs`] records per
-/// call to [`Runtime::run_tasks`]:
+/// call to [`Runtime::run_ordered`] (and so per [`Runtime::run_tasks`]):
 ///
 /// - histogram `runtime.call.ns` — wall time of the whole call
 /// - histogram `runtime.call.tasks` — task count of the call
 /// - histogram `runtime.task.ns` — wall time of each task body
 /// - histogram `runtime.task.wait.ns` — delay from call start to task start
-///   (queue wait under the bounded pool)
+///   (queue wait under the bounded pool; for an LER estimate, whose chunks all
+///   run in one call, it spans the whole estimate)
 /// - gauge `runtime.workers.peak` — largest worker count of any call
 ///
-/// All pool metrics are histograms or gauges, never counters: wave sizes and
-/// scheduling depend on the thread count, so they sit outside the
-/// deterministic-counter contract.
+/// All pool metrics are histograms or gauges, never counters: how many tasks
+/// run past an early stop, and the scheduling, depend on the thread count, so
+/// they sit outside the deterministic-counter contract.
 #[derive(Debug, Clone)]
 pub struct Runtime {
     config: RuntimeConfig,
@@ -218,12 +230,22 @@ impl Runtime {
         SeedStream::new(self.config.seed)
     }
 
-    /// Core primitive: evaluates `f(0..tasks)` with bounded workers and
-    /// returns the results ordered by task index.
-    pub fn run_tasks<U, F>(&self, tasks: usize, f: F) -> Vec<U>
+    /// Core primitive: evaluates `f(0..tasks)` with bounded workers and hands
+    /// each result to `consume(task, value)` on the calling thread, in task
+    /// order, as soon as every earlier task has been consumed.
+    ///
+    /// One call opens one [`std::thread::scope`]: the workers pull task
+    /// indices from a shared counter and send their results over a channel;
+    /// the calling thread blocks in `recv` and reorders them. When `consume`
+    /// returns `false` the call ends: no further task starts, tasks already
+    /// running finish, and their results are dropped unconsumed. A panic in
+    /// `f` stops the workers and resumes on the calling thread with its
+    /// original payload.
+    pub fn run_ordered<U, F, C>(&self, tasks: usize, f: F, mut consume: C)
     where
         U: Send,
         F: Fn(usize) -> U + Sync,
+        C: FnMut(usize, U) -> bool,
     {
         let workers = self.threads().min(tasks);
         // Pool metrics are strictly out-of-band: handles are hoisted here so
@@ -260,47 +282,84 @@ impl Runtime {
             out
         };
         if workers <= 1 {
-            let out = (0..tasks).map(|task| timed(0, task)).collect();
+            for task in 0..tasks {
+                if !consume(task, timed(0, task)) {
+                    break;
+                }
+            }
             call_span.finish();
-            return out;
+            return;
         }
         let next = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let (sender, receiver) = mpsc::channel::<(usize, std::thread::Result<U>)>();
         let timed = &timed;
         let next = &next;
+        let stop = &stop;
         let tracer = self.obs.tracer();
         #[allow(
             clippy::disallowed_methods,
             reason = "the worker pool is the one place threads start (D3)"
         )]
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        // Lane `w + 1`: lane 0 stays the control thread. The
-                        // guard's drop also flushes the worker's trace buffer
-                        // before the scope joins.
-                        let _lane = tracer.map(|t| t.worker_scope(w as u64 + 1));
-                        let mut local: Vec<(usize, U)> = Vec::new();
-                        loop {
-                            let task = next.fetch_add(1, Ordering::Relaxed);
-                            if task >= tasks {
-                                break;
-                            }
-                            local.push((task, timed(w as u64 + 1, task)));
+        // The scope closure owns the receiver: returning early, or unwinding
+        // out of `consume`, drops it, so every worker's next send fails and
+        // the worker exits before the scope joins it.
+        std::thread::scope(move |scope| {
+            for w in 0..workers {
+                let sender = sender.clone();
+                scope.spawn(move || {
+                    // Lane `w + 1`: lane 0 stays the control thread. The
+                    // guard's drop also flushes the worker's trace buffer
+                    // before the scope joins.
+                    let _lane = tracer.map(|t| t.worker_scope(w as u64 + 1));
+                    while !stop.load(Ordering::Relaxed) {
+                        let task = next.fetch_add(1, Ordering::Relaxed);
+                        if task >= tasks {
+                            break;
                         }
-                        local
-                    })
-                })
-                .collect();
-            let mut indexed: Vec<(usize, U)> = Vec::with_capacity(tasks);
-            for handle in handles {
-                indexed.extend(handle.join().expect("runtime worker panicked"));
+                        let out =
+                            panic::catch_unwind(AssertUnwindSafe(|| timed(w as u64 + 1, task)));
+                        if sender.send((task, out)).is_err() {
+                            break;
+                        }
+                    }
+                });
             }
-            indexed.sort_unstable_by_key(|(task, _)| *task);
-            let out: Vec<U> = indexed.into_iter().map(|(_, value)| value).collect();
-            call_span.finish();
-            out
-        })
+            // `recv` fails once every worker has exited and dropped its sender.
+            drop(sender);
+            let mut pending = BTreeMap::new();
+            let mut expected = 0;
+            while let Ok((task, out)) = receiver.recv() {
+                let value = out.unwrap_or_else(|payload| {
+                    stop.store(true, Ordering::Relaxed);
+                    panic::resume_unwind(payload)
+                });
+                pending.insert(task, value);
+                while let Some(value) = pending.remove(&expected) {
+                    if !consume(expected, value) {
+                        stop.store(true, Ordering::Relaxed);
+                        return;
+                    }
+                    expected += 1;
+                }
+            }
+        });
+        call_span.finish();
+    }
+
+    /// Evaluates `f(0..tasks)` with bounded workers and returns the results
+    /// ordered by task index: [`Runtime::run_ordered`] collecting every result.
+    pub fn run_tasks<U, F>(&self, tasks: usize, f: F) -> Vec<U>
+    where
+        U: Send,
+        F: Fn(usize) -> U + Sync,
+    {
+        let mut out = Vec::with_capacity(tasks);
+        self.run_ordered(tasks, f, |_, value| {
+            out.push(value);
+            true
+        });
+        out
     }
 
     /// Maps `f` over `items` in parallel, preserving item order.
@@ -377,6 +436,87 @@ mod tests {
             live.fetch_sub(1, Ordering::SeqCst);
         });
         assert!(peak.load(Ordering::SeqCst) <= 3);
+    }
+
+    /// A task whose cost varies with its index, so workers finish out of order.
+    fn uneven(task: usize) -> u64 {
+        let spins = (task * 7919) % 13 * 2_000;
+        (0..spins as u64).fold(task as u64, |acc, x| {
+            std::hint::black_box(acc.wrapping_mul(31).wrapping_add(x))
+        })
+    }
+
+    #[test]
+    fn run_ordered_consumes_in_task_order() {
+        let serial: Vec<u64> = (0..97).map(uneven).collect();
+        for threads in [1, 2, 8] {
+            let runtime = Runtime::new(RuntimeConfig::new(threads, 1, 0));
+            let mut seen = Vec::new();
+            runtime.run_ordered(97, uneven, |task, value| {
+                seen.push((task, value));
+                true
+            });
+            let expected: Vec<_> = serial.iter().copied().enumerate().collect();
+            assert_eq!(seen, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn run_ordered_stops_when_consume_returns_false() {
+        const TASKS: usize = 100_000;
+        let stop_at = 10;
+        for threads in [1, 2, 8] {
+            let runtime = Runtime::new(RuntimeConfig::new(threads, 1, 0));
+            let executed = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            runtime.run_ordered(
+                TASKS,
+                |task| {
+                    executed.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(std::time::Duration::from_micros(20));
+                    task
+                },
+                |task, value| {
+                    assert_eq!(task, value);
+                    seen.push(task);
+                    task < stop_at
+                },
+            );
+            assert_eq!(seen, (0..=stop_at).collect::<Vec<_>>(), "{threads} threads");
+            let executed = executed.load(Ordering::Relaxed);
+            assert!(
+                executed < TASKS,
+                "{threads} threads ran all {executed} tasks"
+            );
+            if threads == 1 {
+                assert_eq!(executed, stop_at + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_propagates_out_of_the_call() {
+        for threads in [1, 2, 8] {
+            let runtime = Runtime::new(RuntimeConfig::new(threads, 1, 0));
+            let task = |i: usize| {
+                assert_ne!(i, 5, "task 5 fails");
+                i
+            };
+            let ordered = panic::catch_unwind(AssertUnwindSafe(|| {
+                runtime.run_ordered(64, task, |_, _| true);
+            }));
+            let collected = panic::catch_unwind(AssertUnwindSafe(|| runtime.run_tasks(64, task)));
+            for result in [ordered.map(|_| ()), collected.map(|_| ())] {
+                let payload = result.expect_err("the panic must propagate");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .expect("the original panic payload");
+                assert!(
+                    message.contains("task 5 fails"),
+                    "{threads} threads: {message}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -30,14 +30,12 @@ fn diag_lines(log: &TraceLog) -> String {
 
 /// The thread-independent shape of the timeline: per (name, cat) span/instant
 /// counts, sorted. Timestamps, worker lanes and interleavings vary with the
-/// pool; which work spans exist does not. `runtime.call` is excluded: adaptive
-/// budgets submit chunks in worker-sized waves, so the number of pool *calls*
-/// (unlike the number of tasks) is a legitimate function of the thread count.
+/// pool; which work spans exist does not. An estimate is one pool call, so
+/// `runtime.call` counts are thread-independent too.
 fn span_census(log: &TraceLog) -> Vec<(String, String, usize)> {
     let mut keys: Vec<(String, String)> = log
         .events
         .iter()
-        .filter(|e| e.name != "runtime.call")
         .map(|e| (e.name.clone(), e.cat.clone()))
         .collect();
     keys.sort();
